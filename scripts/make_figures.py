@@ -2,56 +2,42 @@
 """Regenerate the four standard figure datasets as CSV files.
 
 Usage:
-    python scripts/make_figures.py [--out-dir data] [--workers N]
+    python scripts/make_figures.py [--out-dir data]
 
 Equivalent to running the `eprbell fig1..fig4` subcommands with default
 settings; fig2 is emitted once per default transmission with an eta column.
 """
 
 import argparse
-import os
 import pathlib
 import time
 
 from eprbell.report import (
     DEFAULT_ETAS,
     DEFAULT_FIG2_R,
-    ENV_WORKERS,
-    Table,
     default_fig1_spec,
     default_fig2_j_grid,
     default_fig3_spec,
     default_fig4_spec,
     fig1,
-    fig2,
+    fig2_stacked,
     fig3,
     fig4,
     table_to_csv,
 )
 
 
-def stacked_fig2() -> Table:
-    rows = []
-    for eta in sorted(DEFAULT_ETAS, reverse=True):
-        sub = fig2(DEFAULT_FIG2_R, eta, default_fig2_j_grid())
-        rows.extend((eta,) + row for row in sub.rows)
-    return Table(columns=("eta", "r", "J", "B"), rows=tuple(rows))
-
-
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out-dir", default="data")
-    parser.add_argument("--workers", type=int, default=None)
     args = parser.parse_args()
-    if args.workers is not None:
-        os.environ[ENV_WORKERS] = str(args.workers)
 
     out_dir = pathlib.Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     jobs = [
         ("fig1.csv", lambda: fig1(default_fig1_spec())),
-        ("fig2.csv", stacked_fig2),
+        ("fig2.csv", lambda: fig2_stacked(DEFAULT_FIG2_R, DEFAULT_ETAS, default_fig2_j_grid())),
         ("fig3.csv", lambda: fig3(default_fig3_spec())),
         ("fig4.csv", lambda: fig4(default_fig4_spec())),
     ]

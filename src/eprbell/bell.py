@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .epr_model import EprParams, GaussianEprState, TwoModePoint, wigner
+from .epr_model import EprParams, GaussianEprState, TwoModePoint, mu_opt, wigner
 
 __all__ = [
     "BellResult",
@@ -36,9 +36,6 @@ __all__ = [
     "scaled_chsh",
     "optimize_scaled_chsh",
 ]
-
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0  # golden-section step
-
 
 @dataclass(frozen=True)
 class BellResult:
@@ -84,9 +81,12 @@ def b_of_j(state: GaussianEprState, j):
 def b_of_j_closed_form(state: GaussianEprState, j):
     """Algebraic reduction of the four-term combination:
 
-        B(J) = [1 + 2*exp(-J*(1/sp + 1/sm)) - exp(-4*J/sm)] / (sp*sm).
+        B(J) = [1 + 2*exp(-a*J) - exp(-b*J)] / (sp*sm),  a = 1/sp + 1/sm,  b = 4/sm.
 
-    Kept as an independent twin of :func:`b_of_j` for cross-checking.
+    Setting dB/dJ = 0 in this form gives the maximizer J* used by
+    :func:`maximize_b`.  Kept as an independent twin of :func:`b_of_j`: the
+    library evaluates B through the four Wigner terms, and tests compare
+    the two forms.
     """
     j = np.asarray(j, dtype=float)
     sp = state.sigma_plus_sq
@@ -95,52 +95,22 @@ def b_of_j_closed_form(state: GaussianEprState, j):
     return float(b) if b.ndim == 0 else b
 
 
-def _golden_max(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
-    """Golden-section maximization of a unimodal f on [lo, hi] to width tol."""
-    x1 = hi - _INV_PHI * (hi - lo)
-    x2 = lo + _INV_PHI * (hi - lo)
-    f1, f2 = f(x1), f(x2)
-    while hi - lo > tol:
-        if f1 < f2:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _INV_PHI * (hi - lo)
-            f2 = f(x2)
-        else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _INV_PHI * (hi - lo)
-            f1 = f(x1)
-    return (x1, f1) if f1 >= f2 else (x2, f2)
+def maximize_b(state: GaussianEprState) -> BellResult:
+    """The displacement J* >= 0 maximizing B(J), and B(J*).
 
+    With a = 1/sp + 1/sm and b = 4/sm (see :func:`b_of_j_closed_form`),
+    dB/dJ = [b*exp(-b*J) - 2a*exp(-a*J)] / (sp*sm) vanishes only at
 
-def maximize_b(state: GaussianEprState, tol: float = 1e-10, grid_points: int = 512) -> BellResult:
-    """Locate the displacement maximizing B(J) over J in [0, 30*sigma_minus_sq].
+        J* = ln(b / 2a) / (b - a) = ln(2*sp / (sp + sm)) / (3/sm - 1/sp),
 
-    A uniform coarse scan brackets the best cell (B has at most one interior
-    critical point, so any bracket is unimodal), golden-section refines to
-    ``tol`` in J, and the candidates are compared against the boundary J = 0
-    so that monotone-decreasing cases return exactly (0, B(0)).
+    where ln(2*sp/(sp + sm)) = log1p(mu_opt) avoids cancellation at small r.
+    Since sp >= sm, b - a > 0 and the slope at J = 0, 2/sm - 2/sp, is >= 0,
+    so J* is the global maximum on J >= 0; J* = 0 exactly when sp = sm.
+    B_max is evaluated through the four-Wigner :func:`b_of_j`.
     """
-    if not (tol > 0.0 and math.isfinite(tol)):
-        raise ValueError(f"tol must be positive and finite, got {tol!r}")
-    if grid_points < 2:
-        raise ValueError(f"grid_points must be >= 2, got {grid_points!r}")
-
-    j_hi = 30.0 * state.sigma_minus_sq
-    grid = np.linspace(0.0, j_hi, grid_points)
-    values = b_of_j(state, grid)
-    k = int(np.argmax(values))
-
-    lo = grid[max(k - 1, 0)]
-    hi = grid[min(k + 1, grid_points - 1)]
-    j_ref, b_ref = _golden_max(lambda j: b_of_j(state, j), lo, hi, tol)
-
-    candidates = [
-        (b_of_j(state, 0.0), 0.0),
-        (float(values[k]), float(grid[k])),
-        (b_ref, j_ref),
-    ]
-    b_max, j_max = max(candidates, key=lambda c: (c[0], -c[1]))
-    return BellResult(j_max=float(j_max), b_max=float(b_max), violates=b_max > 2.0)
+    j_max = math.log1p(mu_opt(state)) / (3.0 / state.sigma_minus_sq - 1.0 / state.sigma_plus_sq)
+    b_max = b_of_j(state, j_max)
+    return BellResult(j_max=j_max, b_max=b_max, violates=b_max > 2.0)
 
 
 def loss_bound_ok(params: EprParams) -> bool:

@@ -6,7 +6,7 @@ when the ``oracle`` subcommand's statistical comparison fails its
 
 Figure subcommands read an optional JSON config whose keys mirror
 :class:`eprbell.report.SweepSpec` (``r_list`` or ``r_min``/``r_max``/
-``r_count``, ``eta_list``, ``nbar``, ``outputs``; fig2 additionally
+``r_count``, ``eta_list``, ``nbar``; fig2 additionally
 ``j_min``/``j_max``/``j_count``); explicit command-line flags override
 config values.
 """
@@ -93,7 +93,7 @@ def _cmd_bell_scan(args) -> int:
 
 def _cmd_bell_max(args) -> int:
     _, state = _state(args)
-    result = maximize_b(state, tol=args.tol)
+    result = maximize_b(state)
     print(f"j_max={result.j_max:.17g}")
     print(f"b_max={result.b_max:.17g}")
     print(f"violates={str(result.violates).lower()}")
@@ -152,26 +152,14 @@ def _sweep_spec(args, default_range: tuple[float, float, int], default_builder) 
         nbar = args.nbar
     else:
         nbar = float(config.get("nbar", 0.0))
-    extra = {}
-    if "outputs" in config:
-        extra["outputs"] = tuple(config["outputs"])
     if "r_list" in config:
-        return report_mod.SweepSpec(
-            r_grid=tuple(config["r_list"]), eta_list=eta_list, nbar=nbar, **extra
-        )
+        return report_mod.SweepSpec(r_grid=tuple(config["r_list"]), eta_list=eta_list, nbar=nbar)
     if any(key in config for key in ("r_min", "r_max", "r_count")):
         r_min = float(config.get("r_min", default_range[0]))
         r_max = float(config.get("r_max", default_range[1]))
         r_count = int(config.get("r_count", default_range[2]))
-        return report_mod.SweepSpec.from_range(
-            r_min, r_max, r_count, eta_list=eta_list, nbar=nbar, **extra
-        )
-    spec = default_builder(eta_list=eta_list, nbar=nbar)
-    if extra:
-        spec = report_mod.SweepSpec(
-            r_grid=spec.r_grid, eta_list=spec.eta_list, nbar=spec.nbar, **extra
-        )
-    return spec
+        return report_mod.SweepSpec.from_range(r_min, r_max, r_count, eta_list=eta_list, nbar=nbar)
+    return default_builder(eta_list=eta_list, nbar=nbar)
 
 
 def _cmd_fig1(args) -> int:
@@ -194,13 +182,7 @@ def _cmd_fig2(args) -> int:
     if j_count < 1 or not 0.0 <= j_min <= j_max:
         raise ValueError("fig2 J grid needs 0 <= j_min <= j_max and j_count >= 1")
     j_grid = tuple(np.linspace(j_min, j_max, j_count))
-
-    rows = []
-    for eta in sorted(eta_list, reverse=True):
-        spec = report_mod.SweepSpec(r_grid=r_list, eta_list=(eta,), nbar=nbar)
-        sub = report_mod.fig2(spec.r_grid, eta, j_grid)
-        rows.extend((eta,) + row for row in sub.rows)
-    table = report_mod.Table(columns=("eta", "r", "J", "B"), rows=tuple(rows))
+    table = report_mod.fig2_stacked(r_list, eta_list, j_grid, nbar)
     _emit(report_mod.table_to_csv(table), args.out)
     return 0
 
@@ -244,7 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bell-max", help="maximize B over the displacement")
     _add_state_args(p)
-    p.add_argument("--tol", type=float, default=1e-10)
     p.set_defaults(func=_cmd_bell_max)
 
     p = sub.add_parser("chsh", help="optimal scaled-correlation CHSH value")

@@ -20,7 +20,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from .epr_model import GaussianEprState, mu_opt, second_moments
+from .epr_model import GaussianEprState, mu_opt
 
 __all__ = [
     "CriteriaReport",
@@ -131,12 +131,15 @@ def conditional_variances(state: GaussianEprState) -> tuple[float, float]:
     """Residual variances V_{x2|x1} and V_{p2|p1} after optimal linear inference.
 
     V = <x2^2> - <x1 x2>^2 / <x1^2>, equal for the x and p sectors and equal
-    to the gain-mu error variances evaluated at the optimal gain.
+    to the gain-mu error variances evaluated at the optimal gain.  With
+    var = (sp + sm)/8 and cov = (sp - sm)/8 this is sp*sm / (2*(sp + sm)),
+    evaluated in that form because the difference cancels catastrophically
+    at large squeezing.
     """
-    m = second_moments(state)
-    cond_x = m.var_x - m.cov_xx**2 / m.var_x
-    cond_p = m.var_p - m.cov_pp**2 / m.var_p
-    return cond_x, cond_p
+    sp = state.sigma_plus_sq
+    sm = state.sigma_minus_sq
+    cond = sp * sm / (2.0 * (sp + sm))
+    return cond, cond
 
 
 def classify(state: GaussianEprState, mu: float | None = None) -> CriteriaReport:

@@ -12,11 +12,11 @@ The four datasets are:
   the squeezing parameter.
 
 Tables are emitted as CSV (primary; header row, '.' decimal separator,
-17 significant digits, "inf" for unbounded values) or JSON lines.  Grid
-points are independent tasks: the EPRBELL_WORKERS environment variable
-(integer >= 1, default 1) enables a process pool, and results are always
-assembled in (eta descending, r ascending) order so output bytes do not
-depend on the worker count.
+17 significant digits, "inf" for unbounded values) or JSON lines.  Every
+quantity is a closed form of the state, so sweeps run in-process as plain
+loops and always emit rows in (eta descending, r ascending) order.  The
+EPRBELL_WORKERS environment variable (integer >= 1, default 1) is validated
+on every sweep and is otherwise reserved for the Monte-Carlo oracle.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +42,7 @@ __all__ = [
     "Table",
     "fig1",
     "fig2",
+    "fig2_stacked",
     "fig3",
     "fig4",
     "default_fig1_spec",
@@ -59,7 +59,6 @@ ENV_WORKERS = "EPRBELL_WORKERS"
 
 DEFAULT_ETAS = (0.99, 0.90, 0.70, 0.50)
 DEFAULT_FIG2_R = (0.1, math.log(2.0) / 2.0, 1.0, 2.0)
-_ALLOWED_OUTPUTS = ("fidelity", "criteria", "bell")
 
 
 @dataclass(frozen=True)
@@ -67,20 +66,17 @@ class SweepSpec:
     """Grid specification for the figure sweeps.
 
     ``r_grid`` is the explicit tuple of squeezing values (use
-    :meth:`from_range` for a uniform grid); ``outputs`` names which quantity
-    families a combined consumer wants and defaults to all of them.
+    :meth:`from_range` for a uniform grid).
     """
 
     r_grid: tuple[float, ...]
     eta_list: tuple[float, ...] = DEFAULT_ETAS
     nbar: float = 0.0
-    outputs: tuple[str, ...] = _ALLOWED_OUTPUTS
 
     def __post_init__(self):
         object.__setattr__(self, "r_grid", tuple(float(r) for r in self.r_grid))
         object.__setattr__(self, "eta_list", tuple(float(e) for e in self.eta_list))
         object.__setattr__(self, "nbar", float(self.nbar))
-        object.__setattr__(self, "outputs", tuple(self.outputs))
         if not self.r_grid:
             raise ValueError("r_grid must be nonempty")
         if not self.eta_list:
@@ -93,9 +89,6 @@ class SweepSpec:
                 raise ValueError(f"eta values must be in [0, 1], got {eta}")
         if not (math.isfinite(self.nbar) and self.nbar >= 0.0):
             raise ValueError(f"nbar must be finite and >= 0, got {self.nbar}")
-        for name in self.outputs:
-            if name not in _ALLOWED_OUTPUTS:
-                raise ValueError(f"unknown output family {name!r}")
 
     @classmethod
     def from_range(cls, r_min: float, r_max: float, r_count: int, **kwargs) -> "SweepSpec":
@@ -177,57 +170,8 @@ def _worker_count() -> int:
     return count
 
 
-def _map_tasks(func, tasks: list) -> list:
-    workers = _worker_count()
-    if workers == 1 or len(tasks) <= 1:
-        return [func(task) for task in tasks]
-    chunk = max(1, len(tasks) // (4 * workers))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(func, tasks, chunksize=chunk))
-
-
-def _fidelity_point(task: tuple) -> tuple:
-    r, eta, nbar = task
-    state = make_state(EprParams(r=r, eta=eta, nbar=nbar))
-    return (r, eta, fidelity(state).fidelity)
-
-
-def _fig2_curve(task: tuple) -> list[tuple]:
-    r, eta, nbar, j_grid = task
-    state = make_state(EprParams(r=r, eta=eta, nbar=nbar))
-    values = b_of_j(state, np.asarray(j_grid))
-    return [(r, float(j), float(b)) for j, b in zip(j_grid, values)]
-
-
-def _bmax_point(task: tuple) -> tuple:
-    r, eta, nbar = task
-    state = make_state(EprParams(r=r, eta=eta, nbar=nbar))
-    return (r, eta, maximize_b(state).b_max)
-
-
-def _bell_scan_point(task: tuple) -> BellScanRow:
-    r, eta, nbar = task
-    params = EprParams(r=r, eta=eta, nbar=nbar)
-    state = make_state(params)
-    d_sum = duan_sum(state)
-    f = fidelity(state).fidelity
-    if abs(f - 1.0 / (1.0 + d_sum)) > 1e-12:
-        raise RuntimeError(f"fidelity/duan_sum inconsistency at r={r}, eta={eta}")
-    best = maximize_b(state)
-    return BellScanRow(
-        r=r,
-        eta=eta,
-        nbar=nbar,
-        fidelity=f,
-        duan_sum=d_sum,
-        j_max=best.j_max,
-        b_max=best.b_max,
-        violates=best.violates,
-        loss_bound_ok=loss_bound_ok(params),
-    )
-
-
 def _ordered_grid(spec: SweepSpec) -> list[tuple]:
+    _worker_count()  # reject a malformed EPRBELL_WORKERS on every sweep
     etas = sorted(spec.eta_list, reverse=True)
     rs = sorted(spec.r_grid)
     return [(r, eta, spec.nbar) for eta in etas for r in rs]
@@ -235,34 +179,63 @@ def _ordered_grid(spec: SweepSpec) -> list[tuple]:
 
 def fig1(spec: SweepSpec) -> Table:
     """Fidelity versus squeezing: rows (r, eta, F), eta descending then r ascending."""
-    rows = _map_tasks(_fidelity_point, _ordered_grid(spec))
+    rows = [
+        (r, eta, fidelity(make_state(EprParams(r=r, eta=eta, nbar=nbar))).fidelity)
+        for r, eta, nbar in _ordered_grid(spec)
+    ]
     return Table(columns=("r", "eta", "F"), rows=tuple(rows))
 
 
-def fig2(r_list, eta: float, j_grid) -> Table:
+def fig2(r_list, eta: float, j_grid, nbar: float = 0.0) -> Table:
     """B(J) curves at fixed transmission: rows (r, J, B) for each requested r."""
-    spec = SweepSpec(r_grid=tuple(r_list), eta_list=(eta,))  # reuse validation
+    spec = SweepSpec(r_grid=tuple(r_list), eta_list=(eta,), nbar=nbar)  # reuse validation
     j_grid = tuple(float(j) for j in j_grid)
     if not j_grid:
         raise ValueError("j_grid must be nonempty")
-    tasks = [(r, eta, spec.nbar, j_grid) for r in sorted(spec.r_grid)]
-    rows = [row for curve in _map_tasks(_fig2_curve, tasks) for row in curve]
+    rows = []
+    for r, eta, nbar in _ordered_grid(spec):
+        values = b_of_j(make_state(EprParams(r=r, eta=eta, nbar=nbar)), np.asarray(j_grid))
+        rows.extend((r, j, float(b)) for j, b in zip(j_grid, values))
     return Table(columns=("r", "J", "B"), rows=tuple(rows))
+
+
+def fig2_stacked(r_list, eta_list, j_grid, nbar: float = 0.0) -> Table:
+    """fig2 for several transmissions: rows (eta, r, J, B), eta descending."""
+    rows = []
+    for eta in sorted(eta_list, reverse=True):
+        rows.extend((eta,) + row for row in fig2(r_list, eta, j_grid, nbar).rows)
+    return Table(columns=("eta", "r", "J", "B"), rows=tuple(rows))
 
 
 def fig3(spec: SweepSpec) -> Table:
     """J-maximized B versus squeezing: rows (r, eta, B_max)."""
-    rows = _map_tasks(_bmax_point, _ordered_grid(spec))
+    rows = [
+        (r, eta, maximize_b(make_state(EprParams(r=r, eta=eta, nbar=nbar))).b_max)
+        for r, eta, nbar in _ordered_grid(spec)
+    ]
     return Table(columns=("r", "eta", "B_max"), rows=tuple(rows))
 
 
 def fig4(spec: SweepSpec) -> Table:
     """Parametric fidelity/Bell trace; full BellScanRow per grid point."""
-    scan = _map_tasks(_bell_scan_point, _ordered_grid(spec))
-    rows = tuple(
-        tuple(getattr(row, name) for name in BELL_SCAN_COLUMNS) for row in scan
-    )
-    return Table(columns=BELL_SCAN_COLUMNS, rows=rows)
+    rows = []
+    for r, eta, nbar in _ordered_grid(spec):
+        params = EprParams(r=r, eta=eta, nbar=nbar)
+        state = make_state(params)
+        best = maximize_b(state)
+        row = BellScanRow(
+            r=r,
+            eta=eta,
+            nbar=nbar,
+            fidelity=fidelity(state).fidelity,
+            duan_sum=duan_sum(state),
+            j_max=best.j_max,
+            b_max=best.b_max,
+            violates=best.violates,
+            loss_bound_ok=loss_bound_ok(params),
+        )
+        rows.append(tuple(getattr(row, name) for name in BELL_SCAN_COLUMNS))
+    return Table(columns=BELL_SCAN_COLUMNS, rows=tuple(rows))
 
 
 def _format_cell(value) -> str:

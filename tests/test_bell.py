@@ -118,10 +118,13 @@ def test_b_matches_closed_form(r, eta, nbar, j):
 
 
 def test_maximize_vacuum_boundary():
-    result = maximize_b(state(0.0, 1.0))
-    assert result.j_max == 0.0
-    assert result.b_max == pytest.approx(2.0, abs=1e-14)
-    assert not result.violates
+    # sp == sm (no squeezing, or no transmission): B falls monotonically from J = 0
+    for r, eta, nbar in [(0.0, 1.0, 0.0), (0.0, 0.6, 0.4), (1.5, 0.0, 0.0), (0.7, 0.0, 0.5)]:
+        s = state(r, eta, nbar)
+        result = maximize_b(s)
+        assert result.j_max == 0.0
+        assert result.b_max == pytest.approx(2.0 / (s.sigma_plus_sq * s.sigma_minus_sq), abs=1e-14)
+        assert not result.violates
 
 
 def test_maximize_lossless_violates_for_any_squeezing():
@@ -144,8 +147,16 @@ def test_maximize_is_a_local_maximum():
 
 
 def test_maximize_beats_dense_grid():
-    for r, eta in [(LN2_HALF, 1.0), (0.02, 0.7), (1.0, 0.9)]:
-        s = state(r, eta)
+    for r, eta, nbar in [
+        (LN2_HALF, 1.0, 0.0),
+        (0.02, 0.7, 0.0),
+        (1.0, 0.9, 0.0),
+        (0.5, 0.9, 0.3),
+        (1.0, 0.95, 0.2),
+        (1.2, 0.0, 0.0),
+        (0.7, 0.0, 0.5),
+    ]:
+        s = state(r, eta, nbar)
         result = maximize_b(s)
         dense = b_of_j(s, np.linspace(0.0, 30.0 * s.sigma_minus_sq, 20001))
         assert result.b_max >= float(np.max(dense)) - 1e-12
@@ -158,11 +169,6 @@ def test_maximize_mixed_state_counterexample():
     assert result.violates
     assert fidelity(s).fidelity < 2.0 / 3.0
     assert duan_sum(s) < 1.0
-
-
-def test_maximize_tol_validation():
-    with pytest.raises(ValueError):
-        maximize_b(state(0.5, 1.0), tol=0.0)
 
 
 def test_no_violation_without_entanglement():

@@ -5,7 +5,7 @@ import pytest
 
 from eprbell.cli import main
 from eprbell.report import DEFAULT_ETAS
-from eprbell import table_from_csv
+from eprbell import EprParams, b_of_j, make_state, table_from_csv
 
 LN2_HALF = math.log(2.0) / 2.0
 
@@ -179,6 +179,17 @@ def test_fig2_stacked_output(capsys):
     assert len(table.rows) == 2 * 4 * 5
     etas = [row[0] for row in table.rows]
     assert etas == sorted(etas, reverse=True)
+
+
+def test_fig2_nbar_reaches_the_state(capsys):
+    code, out, _ = run(
+        capsys, "fig2", "--etas", "0.9", "--nbar", "0.5", "--j-points", "5", "--j-max", "1",
+    )
+    assert code == 0
+    table = table_from_csv(out)
+    assert len(table.rows) == 4 * 5
+    for eta, r, j, b in table.rows:
+        assert b == pytest.approx(b_of_j(make_state(EprParams(r, eta, 0.5)), j), rel=1e-14)
 
 
 def test_fig3_with_range_config(tmp_path, capsys):

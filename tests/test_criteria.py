@@ -123,7 +123,7 @@ def test_conditional_variances_vacuum():
 
 def test_conditional_variances_lossless_closed_form():
     # 1/(4 cosh 2r) per sector; product dips below the 1/16 floor for any r > 0
-    for r in (0.1, LN2_HALF, 1.0, 2.5):
+    for r in (0.1, LN2_HALF, 1.0, 2.5, 5.0, 10.0, 15.0):
         cx, cp = conditional_variances(state(r, 1.0))
         assert cx == pytest.approx(1.0 / (4.0 * math.cosh(2 * r)), rel=1e-12)
         assert cx == cp

@@ -41,8 +41,6 @@ def test_spec_validation():
         SweepSpec(r_grid=(0.5,), eta_list=(1.2,))
     with pytest.raises(ValueError):
         SweepSpec(r_grid=(0.5,), nbar=-1.0)
-    with pytest.raises(ValueError):
-        SweepSpec(r_grid=(0.5,), outputs=("everything",))
 
 
 def test_spec_from_range():
@@ -163,11 +161,6 @@ def test_jsonl_round_trip():
     text = table_to_jsonl(table)
     assert table_from_jsonl(text) == table
     assert '"inf"' in text
-
-
-def test_outputs_field_accepts_known_families():
-    spec = SweepSpec(r_grid=(0.1,), outputs=("fidelity", "bell"))
-    assert spec.outputs == ("fidelity", "bell")
 
 
 def test_sweeps_independent_of_worker_count(monkeypatch):
