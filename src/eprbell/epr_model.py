@@ -22,6 +22,7 @@ result above is the only state ever needed, so construction bakes it in.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,10 +38,16 @@ __all__ = [
     "mu_opt",
 ]
 
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
+
 
 @dataclass(frozen=True)
 class EprParams:
-    """Physical knobs: squeezing r >= 0, transmission eta in [0, 1], thermal nbar >= 0."""
+    """Physical knobs: squeezing r >= 0, transmission eta in [0, 1], thermal nbar >= 0.
+
+    r is bounded above by the float overflow edge 2r <= ln(DBL_MAX), beyond
+    which exp(2r) is not representable.
+    """
 
     r: float
     eta: float
@@ -58,6 +65,8 @@ class EprParams:
             object.__setattr__(self, name, value)
         if self.r < 0.0:
             raise ValueError(f"r must be >= 0, got {self.r}")
+        if 2.0 * self.r > _LOG_FLOAT_MAX:
+            raise ValueError(f"r must be <= {_LOG_FLOAT_MAX / 2.0} (exp(2r) overflows), got {self.r}")
         if not 0.0 <= self.eta <= 1.0:
             raise ValueError(f"eta must be in [0, 1], got {self.eta}")
         if self.nbar < 0.0:

@@ -9,11 +9,20 @@ coordinates follow by solving the linear pairs.
 Reproducibility contract: all variates are produced by applying the
 inverse normal CDF to 53-bit uniforms drawn from a PCG64 stream seeded
 with the configured seed, u = (k + 1/2) / 2**53 with k an integer in
-[0, 2**53).  The half offset keeps u strictly inside (0, 1).  A fixed
-(seed, samples, state) triple therefore reproduces bit-identical
-estimates; platform-dependent rounding of the transcendentals involved
-is below 1e-12.  Sampling is single-stream: that is the reproducibility
-reference, and no partitioned mode is provided.
+[0, 2**53).  The half offset keeps u strictly inside (0, 1).  Each k takes
+exactly one 64-bit draw, so for N samples factor f of sample i (factors in
+the order x1+x2, x1-x2, p1-p2, p1+p2) sits at stream position f*N + i:
+the variates equal those of the single draw
+``default_rng(seed).integers(0, 2**53, (4, N), uint64)``.  Sampling and
+reduction run over fixed blocks of BLOCK samples, each factor's generator
+jumped ahead to its slice with PCG64.advance, so memory does not grow with
+N.  BLOCK is part of the contract, not a tuning knob: the mean estimates
+are math.fsum of the per-block sums over N (exactly rounded, independent
+of block order), and the variance combines each block's two-pass
+(count, mean, M2) in block order with the pairwise update of Chan, Golub &
+LeVeque (1979).  A fixed (seed, samples, state) triple therefore
+reproduces bit-identical estimates; platform-dependent rounding of the
+transcendentals involved is below 1e-12.
 """
 
 from __future__ import annotations
@@ -22,11 +31,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from .epr_model import GaussianEprState
 
-__all__ = ["OracleConfig", "OracleEstimate", "sample_epr", "mc_fidelity"]
+__all__ = ["BLOCK", "OracleConfig", "OracleEstimate", "sample_epr", "mc_fidelity"]
+
+BLOCK = 2**16
 
 
 @dataclass(frozen=True)
@@ -50,11 +60,44 @@ class OracleEstimate:
     duan_sum_hat: float
 
 
-def _standard_normals(rng: np.random.Generator, shape) -> np.ndarray:
-    """Inverse-CDF normals from 53-bit uniforms (see module docstring)."""
-    k = rng.integers(0, 1 << 53, size=shape, dtype=np.uint64)
-    u = (k.astype(np.float64) + 0.5) * 2.0**-53
-    return ndtri(u)
+def _blocks(state: GaussianEprState, config: OracleConfig):
+    """Yield (n, 4) arrays of (x1, p1, x2, p2) rows, BLOCK rows at a time.
+
+    This is the only place that knows the stream layout (see the module
+    docstring).  The yielded array is a view of a buffer that the next
+    block overwrites, so consume it before advancing.
+    """
+    # Deferred: importing scipy.special is most of the CLI's start-up time,
+    # and only the oracle needs it.
+    from scipy.special import ndtri
+
+    samples = config.samples
+    rngs = []
+    for f in range(4):
+        bit_generator = np.random.PCG64(config.seed)
+        bit_generator.advance(f * samples)
+        rngs.append(np.random.Generator(bit_generator))
+    scale_plus = math.sqrt(state.sigma_plus_sq / 2.0)
+    scale_minus = math.sqrt(state.sigma_minus_sq / 2.0)
+    scales = (scale_plus, scale_minus, scale_plus, scale_minus)
+    z_buf = np.empty((4, min(BLOCK, samples)))
+    out_buf = np.empty_like(z_buf)
+    for start in range(0, samples, BLOCK):
+        n = min(BLOCK, samples - start)
+        z, out = z_buf[:, :n], out_buf[:, :n]
+        for rng, row, scale in zip(rngs, z, scales):
+            row[...] = rng.integers(0, 1 << 53, size=n, dtype=np.uint64)
+            row += 0.5
+            row *= 2.0**-53
+            ndtri(row, out=row)
+            row *= scale
+        sum_x, diff_x, diff_p, sum_p = z
+        np.add(sum_x, diff_x, out=out[0])  # x1
+        np.add(sum_p, diff_p, out=out[1])  # p1
+        np.subtract(sum_x, diff_x, out=out[2])  # x2
+        np.subtract(sum_p, diff_p, out=out[3])  # p2
+        out /= 2.0
+        yield out.T
 
 
 def sample_epr(state: GaussianEprState, config: OracleConfig) -> np.ndarray:
@@ -65,19 +108,9 @@ def sample_epr(state: GaussianEprState, config: OracleConfig) -> np.ndarray:
     (x1+x2, x1-x2, p1-p2, p1+p2) so the stream layout is part of the
     reproducibility contract.
     """
-    rng = np.random.default_rng(config.seed)
-    z = _standard_normals(rng, (4, config.samples))
-    scale_plus = math.sqrt(state.sigma_plus_sq / 2.0)
-    scale_minus = math.sqrt(state.sigma_minus_sq / 2.0)
-    sum_x = scale_plus * z[0]
-    diff_x = scale_minus * z[1]
-    diff_p = scale_plus * z[2]
-    sum_p = scale_minus * z[3]
     out = np.empty((config.samples, 4))
-    out[:, 0] = (sum_x + diff_x) / 2.0  # x1
-    out[:, 1] = (sum_p + diff_p) / 2.0  # p1
-    out[:, 2] = (sum_x - diff_x) / 2.0  # x2
-    out[:, 3] = (sum_p - diff_p) / 2.0  # p2
+    for start, block in zip(range(0, config.samples, BLOCK), _blocks(state, config)):
+        out[start:start + len(block)] = block
     return out
 
 
@@ -90,18 +123,30 @@ def mc_fidelity(state: GaussianEprState, config: OracleConfig) -> OracleEstimate
     Its expectation equals 1/(1 + sigma_minus_sq): each noise quadrature is
     N(0, s^2) with s^2 = sigma_minus_sq/2, and E[exp(-n^2)] = 1/sqrt(1+2 s^2)
     per independent quadrature.
+
+    Samples are reduced block by block and never held all at once.
     """
     if config.samples < 2:
         raise ValueError("mc_fidelity needs samples >= 2 to form a standard error")
-    pts = sample_epr(state, config)
-    n_x = pts[:, 2] - pts[:, 0]
-    n_p = pts[:, 3] + pts[:, 1]
-    noise_sq = n_x**2 + n_p**2
-    f_samples = np.exp(-noise_sq)
-    fidelity_hat = float(np.mean(f_samples))
-    std_error = float(np.std(f_samples, ddof=1) / math.sqrt(config.samples))
+    f_sums, noise_sums = [], []
+    count, mean, m2 = 0, 0.0, 0.0
+    for block in _blocks(state, config):
+        x1, p1, x2, p2 = block.T
+        noise_sq = (x2 - x1) ** 2 + (p2 + p1) ** 2
+        f = np.exp(-noise_sq)
+        n = len(f)
+        f_sum = float(np.sum(f))
+        f_sums.append(f_sum)
+        noise_sums.append(float(np.sum(noise_sq)))
+        block_mean = f_sum / n
+        delta = block_mean - mean
+        total = count + n
+        mean += delta * n / total
+        m2 += float(np.sum((f - block_mean) ** 2)) + delta * delta * count * n / total
+        count = total
+    samples = config.samples
     return OracleEstimate(
-        fidelity_hat=fidelity_hat,
-        std_error=std_error,
-        duan_sum_hat=float(np.mean(noise_sq)),
+        fidelity_hat=math.fsum(f_sums) / samples,
+        std_error=math.sqrt(m2 / (samples - 1)) / math.sqrt(samples),
+        duan_sum_hat=math.fsum(noise_sums) / samples,
     )

@@ -201,6 +201,8 @@ def fig2(r_list, eta: float, j_grid, nbar: float = 0.0) -> Table:
 
 def fig2_stacked(r_list, eta_list, j_grid, nbar: float = 0.0) -> Table:
     """fig2 for several transmissions: rows (eta, r, J, B), eta descending."""
+    if not eta_list:
+        raise ValueError("eta_list must be nonempty")
     rows = []
     for eta in sorted(eta_list, reverse=True):
         rows.extend((eta,) + row for row in fig2(r_list, eta, j_grid, nbar).rows)

@@ -1,10 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from eprbell.cli import main
 from eprbell.report import DEFAULT_ETAS
+import eprbell
 from eprbell import EprParams, b_of_j, make_state, table_from_csv
 
 LN2_HALF = math.log(2.0) / 2.0
@@ -223,3 +228,31 @@ def test_bad_config_exits_2(tmp_path, capsys):
     assert code == 2
     code, _, _ = run(capsys, "fig1", "--config", str(tmp_path / "missing.json"))
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        (("fidelity", "--r", "400", "--eta", "0.9"), None),
+        (("fig1",), {"r_max": 400}),
+        (("fig2", "--etas", ","), None),
+        (("fig2",), {"eta_list": []}),
+    ],
+    ids=["fidelity-overflow-r", "fig1-overflow-r_max", "fig2-empty-etas", "fig2-empty-eta_list"],
+)
+def test_rejected_input_exits_2_with_one_error_line(tmp_path, capsys, argv, config):
+    if config is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        argv += ("--config", str(path))
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    env = dict(os.environ, PYTHONPATH=str(Path(eprbell.__file__).resolve().parents[1]))
+    code = "import sys, eprbell, eprbell.cli; print('scipy' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "False"

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from eprbell import (
     EprParams,
     OracleConfig,
     TwoModePoint,
+    fidelity,
     make_state,
     mu_opt,
     sample_epr,
@@ -63,11 +65,23 @@ def test_eta_one_ignores_nbar():
         (dict(r=1.0, eta=math.inf), "eta"),
         (dict(r=1.0, eta=0.5, nbar=-1.0), "nbar"),
         (dict(r=1.0, eta=0.5, nbar=math.nan), "nbar"),
+        (dict(r=400.0, eta=0.9), "r"),
     ],
 )
 def test_params_validation_names_field(kwargs, field):
     with pytest.raises(ValueError, match=field):
         EprParams(**kwargs)
+
+
+def test_overflow_edge_is_the_largest_accepted_r():
+    edge = math.log(sys.float_info.max) / 2.0
+    s = make_state(EprParams(r=edge, eta=1.0))
+    assert math.isfinite(s.sigma_plus_sq)
+    with pytest.raises(ValueError, match="r"):
+        EprParams(r=math.nextafter(edge, math.inf), eta=1.0)
+    for eta in (0.9, 1.0):
+        result = fidelity(make_state(EprParams(r=354.0, eta=eta)))
+        assert math.isfinite(result.fidelity) and result.beats_classical
 
 
 def test_point_validation():

@@ -1,7 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from eprbell import (
     EprParams,
@@ -12,6 +14,7 @@ from eprbell import (
     mc_fidelity,
     sample_epr,
 )
+from eprbell.oracle import BLOCK
 
 LN2_HALF = math.log(2.0) / 2.0
 
@@ -112,3 +115,60 @@ def test_std_error_scales_as_inverse_root_n():
 def test_mc_fidelity_needs_two_samples():
     with pytest.raises(ValueError):
         mc_fidelity(state(0.5, 0.9), OracleConfig(samples=1, seed=1))
+
+
+def reference_samples(s, config):
+    """The documented stream, materialised at once: one (4, N) draw, then ndtri."""
+    k = np.random.default_rng(config.seed).integers(
+        0, 1 << 53, size=(4, config.samples), dtype=np.uint64
+    )
+    z = ndtri((k.astype(np.float64) + 0.5) * 2.0**-53)
+    scale_plus = math.sqrt(s.sigma_plus_sq / 2.0)
+    scale_minus = math.sqrt(s.sigma_minus_sq / 2.0)
+    sum_x, diff_x = scale_plus * z[0], scale_minus * z[1]
+    diff_p, sum_p = scale_plus * z[2], scale_minus * z[3]
+    return np.stack(
+        [(sum_x + diff_x) / 2.0, (sum_p + diff_p) / 2.0,
+         (sum_x - diff_x) / 2.0, (sum_p - diff_p) / 2.0],
+        axis=1,
+    )
+
+
+@pytest.mark.parametrize("samples", [2, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7])
+def test_streamed_blocks_match_the_single_draw(samples):
+    s = state(0.8, 0.85, 0.1)
+    config = OracleConfig(samples=samples, seed=2**63 + 2**40 + 17)
+    pts = reference_samples(s, config)
+    np.testing.assert_array_equal(sample_epr(s, config), pts)
+
+    noise_sq = (pts[:, 2] - pts[:, 0]) ** 2 + (pts[:, 3] + pts[:, 1]) ** 2
+    f_samples = np.exp(-noise_sq)
+    est = mc_fidelity(s, config)
+    assert est.fidelity_hat == pytest.approx(float(np.mean(f_samples)), rel=1e-14, abs=0.0)
+    assert est.duan_sum_hat == pytest.approx(float(np.mean(noise_sq)), rel=1e-14, abs=0.0)
+    se = float(np.std(f_samples, ddof=1)) / math.sqrt(samples)
+    assert est.std_error == pytest.approx(se, rel=1e-6, abs=0.0)
+
+
+@pytest.mark.parametrize("r", [0.0, 3.0, 8.0, 10.0, 15.0])
+def test_std_error_free_of_cancellation(r):
+    # Var f = sm^2 / ((1+sm)^2 (1+2 sm)); a one-pass sum-of-squares variance
+    # loses every digit of it once sm is far below 1.
+    s = state(r, 1.0)
+    n = 200_000
+    est = mc_fidelity(s, OracleConfig(samples=n, seed=4242))
+    sm = s.sigma_minus_sq
+    closed = sm / ((1.0 + sm) * math.sqrt((1.0 + 2.0 * sm) * n))
+    assert est.std_error == pytest.approx(closed, rel=0.02)
+
+
+def test_mc_fidelity_memory_does_not_grow_with_samples():
+    s = state(0.6, 0.8, 0.2)
+    mc_fidelity(s, OracleConfig(samples=2, seed=11))  # first call imports scipy.special
+    tracemalloc.start()
+    try:
+        mc_fidelity(s, OracleConfig(samples=2_000_000, seed=11))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20  # the 2e6 samples alone take 64 MB as an (N, 4) array
