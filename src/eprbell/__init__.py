@@ -5,7 +5,6 @@ from .bell import (
     BellResult,
     ScaledChsh,
     b_of_j,
-    b_of_j_closed_form,
     loss_bound_ok,
     maximize_b,
     optimize_scaled_chsh,
@@ -20,8 +19,6 @@ from .criteria import (
     duan_sum,
     mu_variances,
     nbar_threshold,
-    report_to_csv,
-    report_to_json,
 )
 from .epr_model import (
     EprParams,

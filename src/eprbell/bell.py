@@ -7,7 +7,9 @@ density, Pi = (pi^2/4) W, and the four-point combination
     B(J) = Pi(0,0;0,0) + Pi(sqrt(J),0;0,0) + Pi(0,0;-sqrt(J),0)
            - Pi(sqrt(J),0;-sqrt(J),0)
 
-obeys |B| <= 2 under any local theory.  The displacement pattern is fixed
+obeys |B| <= 2 under any local theory.  The library evaluates B in its
+reduced closed form (see :func:`b_of_j`); this four-term definition is the
+reference the tests compare against.  The displacement pattern is fixed
 to this one-parameter family on purpose; no search over general
 displacement quadruples is attempted.  The second route is the scaled
 coincidence correlation E(phi1, phi2) = V*cos(phi1 - phi2 + theta) of a
@@ -30,7 +32,6 @@ __all__ = [
     "ScaledChsh",
     "pi_corr",
     "b_of_j",
-    "b_of_j_closed_form",
     "maximize_b",
     "loss_bound_ok",
     "scaled_chsh",
@@ -62,33 +63,17 @@ def pi_corr(state: GaussianEprState, pt: TwoModePoint):
 def b_of_j(state: GaussianEprState, j):
     """CHSH combination of four displaced-parity correlations at displacement J.
 
-    Accepts a scalar or array of nonnegative J values.
+    Evaluated in reduced form: with sp = sigma_plus_sq and sm = sigma_minus_sq,
+    the four Gaussian terms of the module docstring's definition sum to
+
+        B(J) = [1 + 2*exp(-a*J) - exp(-b*J)] / (sp*sm),  a = 1/sp + 1/sm,  b = 4/sm.
+
+    The tests keep the four-term sum of :func:`pi_corr` values as the
+    independent reference.  Accepts a scalar or array of nonnegative J values.
     """
     j = np.asarray(j, dtype=float)
     if not np.all(np.isfinite(j)) or np.any(j < 0.0):
         raise ValueError(f"j must be finite and >= 0, got {j!r}")
-    root = np.sqrt(j)
-    zero = np.zeros_like(root)
-    b = (
-        pi_corr(state, TwoModePoint(zero, zero, zero, zero))
-        + pi_corr(state, TwoModePoint(root, zero, zero, zero))
-        + pi_corr(state, TwoModePoint(zero, zero, -root, zero))
-        - pi_corr(state, TwoModePoint(root, zero, -root, zero))
-    )
-    return float(b) if b.ndim == 0 else b
-
-
-def b_of_j_closed_form(state: GaussianEprState, j):
-    """Algebraic reduction of the four-term combination:
-
-        B(J) = [1 + 2*exp(-a*J) - exp(-b*J)] / (sp*sm),  a = 1/sp + 1/sm,  b = 4/sm.
-
-    Setting dB/dJ = 0 in this form gives the maximizer J* used by
-    :func:`maximize_b`.  Kept as an independent twin of :func:`b_of_j`: the
-    library evaluates B through the four Wigner terms, and tests compare
-    the two forms.
-    """
-    j = np.asarray(j, dtype=float)
     sp = state.sigma_plus_sq
     sm = state.sigma_minus_sq
     b = (1.0 + 2.0 * np.exp(-j * (1.0 / sp + 1.0 / sm)) - np.exp(-4.0 * j / sm)) / (sp * sm)
@@ -98,7 +83,7 @@ def b_of_j_closed_form(state: GaussianEprState, j):
 def maximize_b(state: GaussianEprState) -> BellResult:
     """The displacement J* >= 0 maximizing B(J), and B(J*).
 
-    With a = 1/sp + 1/sm and b = 4/sm (see :func:`b_of_j_closed_form`),
+    With a = 1/sp + 1/sm and b = 4/sm (the reduced form of :func:`b_of_j`),
     dB/dJ = [b*exp(-b*J) - 2a*exp(-a*J)] / (sp*sm) vanishes only at
 
         J* = ln(b / 2a) / (b - a) = ln(2*sp / (sp + sm)) / (3/sm - 1/sp),
@@ -106,7 +91,7 @@ def maximize_b(state: GaussianEprState) -> BellResult:
     where ln(2*sp/(sp + sm)) = log1p(mu_opt) avoids cancellation at small r.
     Since sp >= sm, b - a > 0 and the slope at J = 0, 2/sm - 2/sp, is >= 0,
     so J* is the global maximum on J >= 0; J* = 0 exactly when sp = sm.
-    B_max is evaluated through the four-Wigner :func:`b_of_j`.
+    B_max is the reduced form at J*.
     """
     j_max = math.log1p(mu_opt(state)) / (3.0 / state.sigma_minus_sq - 1.0 / state.sigma_plus_sq)
     b_max = b_of_j(state, j_max)
@@ -138,6 +123,8 @@ def scaled_chsh(v: float, theta: float, angles, m_scale: float = 1.0) -> ScaledC
     """
     if not (math.isfinite(v) and 0.0 <= v <= 1.0):
         raise ValueError(f"visibility must be in [0, 1], got {v!r}")
+    if not math.isfinite(theta):
+        raise ValueError(f"theta must be finite, got {theta!r}")
     angles = tuple(float(a) for a in angles)
     if len(angles) != 4:
         raise ValueError(f"angles must be a quadruple, got {len(angles)} values")

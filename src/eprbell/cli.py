@@ -8,21 +8,22 @@ Figure subcommands read an optional JSON config whose keys mirror
 :class:`eprbell.report.SweepSpec` (``r_list`` or ``r_min``/``r_max``/
 ``r_count``, ``eta_list``, ``nbar``; fig2 additionally
 ``j_min``/``j_max``/``j_count``); explicit command-line flags override
-config values.
+config values.  Any other key, and a value of the wrong JSON type, is
+rejected with exit code 2.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
-import math
 import sys
 
 import numpy as np
 
 from . import report as report_mod
 from .bell import b_of_j, maximize_b, optimize_scaled_chsh
-from .criteria import classify, report_to_csv, report_to_json
+from .criteria import CRITERIA_CSV_COLUMNS, classify
 from .epr_model import EprParams, make_state
 from .oracle import OracleConfig, mc_fidelity
 from .teleport import fidelity
@@ -69,9 +70,12 @@ def _cmd_criteria(args) -> int:
     _, state = _state(args)
     rep = classify(state, mu=args.mu)
     if args.json:
-        print(report_to_json(rep))
+        columns = tuple(field.name for field in dataclasses.fields(rep))
+        write = report_mod.table_to_jsonl
     else:
-        sys.stdout.write(report_to_csv(rep))
+        columns, write = CRITERIA_CSV_COLUMNS, report_mod.table_to_csv
+    table = report_mod.Table(columns=columns, rows=(tuple(getattr(rep, name) for name in columns),))
+    _emit(write(table), None)
     return 0
 
 
@@ -128,36 +132,81 @@ def _cmd_oracle(args) -> int:
     return 0 if ok else 1
 
 
-def _load_config(path: str | None) -> dict:
-    if path is None:
-        return {}
-    with open(path) as fh:
-        config = json.load(fh)
-    if not isinstance(config, dict):
-        raise ValueError(f"config must be a JSON object, got {type(config).__name__}")
-    return config
+def _number(value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(value)
+    return float(value)  # OverflowError for an integer beyond the float range
+
+
+def _count(value) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(value)
+    return value
+
+
+def _numbers(value) -> tuple[float, ...]:
+    if not isinstance(value, list):
+        raise TypeError(value)
+    return tuple(map(_number, value))
+
+
+# One schema for all four figures, because one config file may serve them all;
+# each figure reads the keys it uses (j_* for fig2 only, r_min/r_max/r_count
+# for fig1/fig3/fig4 only).
+_CONFIG_KEYS = {
+    "r_list": (_numbers, "a list of numbers"),
+    "r_min": (_number, "a number"),
+    "r_max": (_number, "a number"),
+    "r_count": (_count, "an integer"),
+    "eta_list": (_numbers, "a list of numbers"),
+    "nbar": (_number, "a number"),
+    "j_min": (_number, "a number"),
+    "j_max": (_number, "a number"),
+    "j_count": (_count, "an integer"),
+}
 
 
 def _parse_etas(text: str) -> tuple[float, ...]:
     return tuple(float(part) for part in text.split(",") if part.strip())
 
 
-def _sweep_spec(args, default_range: tuple[float, float, int], default_builder) -> report_mod.SweepSpec:
-    config = _load_config(args.config)
+def _fig_config(args) -> dict:
+    """The figure config: defaults, then the --config file, then --etas/--nbar.
+
+    Every key of the file is checked against the schema, so a misspelt key or
+    a value of the wrong JSON type is rejected, naming the key.  Numbers come
+    back as floats and lists as tuples of floats.
+    """
+    config = {"eta_list": report_mod.DEFAULT_ETAS, "nbar": 0.0}
+    if args.config is not None:
+        with open(args.config) as fh:
+            loaded = json.load(fh)
+        if not isinstance(loaded, dict):
+            raise ValueError(f"config must be a JSON object, got {type(loaded).__name__}")
+        for key, value in loaded.items():
+            if key not in _CONFIG_KEYS:
+                raise ValueError(f"unknown config key {key!r}; allowed: {', '.join(_CONFIG_KEYS)}")
+            convert, kind = _CONFIG_KEYS[key]
+            try:
+                config[key] = convert(value)
+            except (TypeError, OverflowError):
+                raise ValueError(f"config key {key!r} must be {kind}, got {json.dumps(value)}") from None
     if args.etas is not None:
-        eta_list = _parse_etas(args.etas)
-    else:
-        eta_list = tuple(config.get("eta_list", report_mod.DEFAULT_ETAS))
+        config["eta_list"] = _parse_etas(args.etas)
     if args.nbar is not None:
-        nbar = args.nbar
-    else:
-        nbar = float(config.get("nbar", 0.0))
+        config["nbar"] = args.nbar
+    return config
+
+
+def _sweep_spec(args, default_range: tuple[float, float, int], default_builder) -> report_mod.SweepSpec:
+    config = _fig_config(args)
+    eta_list, nbar = config["eta_list"], config["nbar"]
     if "r_list" in config:
-        return report_mod.SweepSpec(r_grid=tuple(config["r_list"]), eta_list=eta_list, nbar=nbar)
+        return report_mod.SweepSpec(r_grid=config["r_list"], eta_list=eta_list, nbar=nbar)
     if any(key in config for key in ("r_min", "r_max", "r_count")):
-        r_min = float(config.get("r_min", default_range[0]))
-        r_max = float(config.get("r_max", default_range[1]))
-        r_count = int(config.get("r_count", default_range[2]))
+        r_min = config.get("r_min", default_range[0])
+        r_max = config.get("r_max", default_range[1])
+        r_count = config.get("r_count", default_range[2])
         return report_mod.SweepSpec.from_range(r_min, r_max, r_count, eta_list=eta_list, nbar=nbar)
     return default_builder(eta_list=eta_list, nbar=nbar)
 
@@ -169,20 +218,15 @@ def _cmd_fig1(args) -> int:
 
 
 def _cmd_fig2(args) -> int:
-    config = _load_config(args.config)
-    r_list = tuple(config.get("r_list", report_mod.DEFAULT_FIG2_R))
-    if args.etas is not None:
-        eta_list = _parse_etas(args.etas)
-    else:
-        eta_list = tuple(config.get("eta_list", report_mod.DEFAULT_ETAS))
-    nbar = args.nbar if args.nbar is not None else float(config.get("nbar", 0.0))
-    j_min = float(config.get("j_min", 0.0))
-    j_max = args.j_max if args.j_max is not None else float(config.get("j_max", 2.0))
-    j_count = args.j_points if args.j_points is not None else int(config.get("j_count", 201))
+    config = _fig_config(args)
+    r_list = config.get("r_list", report_mod.DEFAULT_FIG2_R)
+    j_min = config.get("j_min", 0.0)
+    j_max = args.j_max if args.j_max is not None else config.get("j_max", 2.0)
+    j_count = args.j_points if args.j_points is not None else config.get("j_count", 201)
     if j_count < 1 or not 0.0 <= j_min <= j_max:
         raise ValueError("fig2 J grid needs 0 <= j_min <= j_max and j_count >= 1")
     j_grid = tuple(np.linspace(j_min, j_max, j_count))
-    table = report_mod.fig2_stacked(r_list, eta_list, j_grid, nbar)
+    table = report_mod.fig2_stacked(r_list, config["eta_list"], j_grid, config["nbar"])
     _emit(report_mod.table_to_csv(table), args.out)
     return 0
 

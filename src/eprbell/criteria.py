@@ -16,7 +16,6 @@ weight in the sum criterion is fixed to a = 1 (symmetric modes).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -30,8 +29,6 @@ __all__ = [
     "conditional_variances",
     "classify",
     "CRITERIA_CSV_COLUMNS",
-    "report_to_json",
-    "report_to_csv",
 ]
 
 # Fixed serialization order for one CSV row of a report.
@@ -183,33 +180,3 @@ def classify(state: GaussianEprState, mu: float | None = None) -> CriteriaReport
         gg_sum_mu1=gg_sum_mu1,
         gg_sum_satisfied_mu1=gg_sum_mu1 < 0.5,
     )
-
-
-def _cell(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return format(value, ".17g")
-
-
-def report_to_csv(report: CriteriaReport, header: bool = True) -> str:
-    """Serialize a report to one CSV row (fixed column order), 17 significant digits."""
-    row = ",".join(_cell(getattr(report, name)) for name in CRITERIA_CSV_COLUMNS)
-    if header:
-        return ",".join(CRITERIA_CSV_COLUMNS) + "\n" + row + "\n"
-    return row + "\n"
-
-
-def report_to_json(report: CriteriaReport) -> str:
-    """Serialize a report to a flat JSON object; unbounded thresholds become "inf"."""
-    obj = {}
-    for name in CRITERIA_CSV_COLUMNS + (
-        "gg_product_mu1",
-        "gg_hi_satisfied_mu1",
-        "gg_sum_mu1",
-        "gg_sum_satisfied_mu1",
-    ):
-        value = getattr(report, name)
-        if isinstance(value, float) and math.isinf(value):
-            value = "inf"
-        obj[name] = value
-    return json.dumps(obj)

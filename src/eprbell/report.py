@@ -21,6 +21,7 @@ on every sweep and is otherwise reserved for the Monte-Carlo oracle.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import os
@@ -112,17 +113,7 @@ class BellScanRow:
     loss_bound_ok: bool
 
 
-BELL_SCAN_COLUMNS = (
-    "r",
-    "eta",
-    "nbar",
-    "fidelity",
-    "duan_sum",
-    "j_max",
-    "b_max",
-    "violates",
-    "loss_bound_ok",
-)
+BELL_SCAN_COLUMNS = tuple(field.name for field in dataclasses.fields(BellScanRow))
 
 
 @dataclass(frozen=True)
@@ -266,10 +257,13 @@ def table_from_csv(text: str) -> Table:
     if not lines:
         raise ValueError("empty CSV input")
     columns = tuple(lines[0].split(","))
-    rows = tuple(
-        tuple(_parse_cell(cell) for cell in line.split(",")) for line in lines[1:]
-    )
-    return Table(columns=columns, rows=rows)
+    rows = []
+    for index, line in enumerate(lines[1:], start=1):
+        cells = line.split(",")
+        if len(cells) != len(columns):
+            raise ValueError(f"CSV row {index} has {len(cells)} cells, header has {len(columns)}")
+        rows.append(tuple(_parse_cell(cell) for cell in cells))
+    return Table(columns=columns, rows=tuple(rows))
 
 
 def _json_safe(value):
@@ -295,6 +289,9 @@ def table_from_jsonl(text: str) -> Table:
         raise ValueError("empty JSONL input")
     objs = [json.loads(line) for line in lines]
     columns = tuple(objs[0].keys())
+    for index, obj in enumerate(objs, start=1):
+        if obj.keys() != objs[0].keys():
+            raise ValueError(f"JSONL object {index} does not have the keys {columns}")
     rows = tuple(
         tuple(float(obj[name]) if obj[name] in ("inf", "-inf") else obj[name] for name in columns)
         for obj in objs

@@ -13,8 +13,8 @@ import pytest
 from eprbell import (
     EprParams,
     OracleConfig,
+    TwoModePoint,
     b_of_j,
-    b_of_j_closed_form,
     conditional_variances,
     duan_sum,
     fidelity,
@@ -29,6 +29,7 @@ from eprbell import (
     mu_variances,
     nbar_threshold,
     optimize_scaled_chsh,
+    pi_corr,
     scaled_chsh,
     table_to_csv,
 )
@@ -123,8 +124,15 @@ def test_criterion_05_bell_closed_form_equivalence():
             float(rng.uniform(0.0, 1.0)),
         )
         j = float(rng.uniform(0.0, 10.0))
-        assert abs(b_of_j(s, j) - b_of_j_closed_form(s, j)) <= 1e-12
-    done(5, "four-point combination equals the closed form")
+        root = math.sqrt(j)
+        four_term = (
+            pi_corr(s, TwoModePoint(0.0, 0.0, 0.0, 0.0))
+            + pi_corr(s, TwoModePoint(root, 0.0, 0.0, 0.0))
+            + pi_corr(s, TwoModePoint(0.0, 0.0, -root, 0.0))
+            - pi_corr(s, TwoModePoint(root, 0.0, -root, 0.0))
+        )
+        assert abs(b_of_j(s, j) - four_term) <= 1e-12
+    done(5, "closed form equals the four-point combination")
 
 
 def test_criterion_06_lossless_violation():

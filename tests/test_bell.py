@@ -8,7 +8,6 @@ from eprbell import (
     EprParams,
     TwoModePoint,
     b_of_j,
-    b_of_j_closed_form,
     duan_sum,
     fidelity,
     loss_bound_ok,
@@ -33,6 +32,18 @@ def pi_reference(s, x1, p1, x2, p2):
     sp, sm = s.sigma_plus_sq, s.sigma_minus_sq
     exponent = -((x1 + x2) ** 2 + (p1 - p2) ** 2) / sp - ((x1 - x2) ** 2 + (p1 + p2) ** 2) / sm
     return math.exp(exponent) / (sp * sm)
+
+
+def b_four_term(s, j):
+    # the defining four-point combination of displaced-parity correlations,
+    # the reference for the reduced form that b_of_j evaluates
+    root = math.sqrt(j)
+    return (
+        pi_corr(s, TwoModePoint(0.0, 0.0, 0.0, 0.0))
+        + pi_corr(s, TwoModePoint(root, 0.0, 0.0, 0.0))
+        + pi_corr(s, TwoModePoint(0.0, 0.0, -root, 0.0))
+        - pi_corr(s, TwoModePoint(root, 0.0, -root, 0.0))
+    )
 
 
 def test_pi_origin_lossless_is_one():
@@ -114,7 +125,7 @@ def test_b_rejects_bad_displacement():
 )
 def test_b_matches_closed_form(r, eta, nbar, j):
     s = state(r, eta, nbar)
-    assert b_of_j(s, j) == pytest.approx(b_of_j_closed_form(s, j), abs=1e-12)
+    assert b_of_j(s, j) == pytest.approx(b_four_term(s, j), abs=1e-12)
 
 
 def test_maximize_vacuum_boundary():
@@ -123,7 +134,8 @@ def test_maximize_vacuum_boundary():
         s = state(r, eta, nbar)
         result = maximize_b(s)
         assert result.j_max == 0.0
-        assert result.b_max == pytest.approx(2.0 / (s.sigma_plus_sq * s.sigma_minus_sq), abs=1e-14)
+        assert b_of_j(s, 0.0) == 2.0 / (s.sigma_plus_sq * s.sigma_minus_sq)
+        assert result.b_max == b_of_j(s, 0.0)
         assert not result.violates
 
 
@@ -209,6 +221,14 @@ def test_scaled_chsh_rejects_bad_visibility():
     for v in (-0.1, 1.1, math.nan):
         with pytest.raises(ValueError):
             scaled_chsh(v, 0.0, (0.0, 1.0, 2.0, 3.0))
+
+
+def test_scaled_chsh_rejects_non_finite_theta():
+    for theta in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="theta"):
+            scaled_chsh(0.9, theta, (0.0, 1.0, 2.0, 3.0))
+        with pytest.raises(ValueError, match="theta"):
+            optimize_scaled_chsh(0.9, theta)
 
 
 @settings(deadline=None, max_examples=200)

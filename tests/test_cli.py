@@ -230,17 +230,48 @@ def test_bad_config_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("figure", ["fig1", "fig2", "fig3", "fig4"])
+def test_shared_config_accepted_by_every_figure(tmp_path, capsys, figure):
+    # every documented key at once, as in the README's example config
+    config = {
+        "r_min": 0.0, "r_max": 1.0, "r_count": 3, "eta_list": [0.9, 0.5], "nbar": 0.1,
+        "j_min": 0.0, "j_max": 1.0, "j_count": 3,
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    code, out, _ = run(capsys, figure, "--config", str(path))
+    assert code == 0
+    rows = table_from_csv(out).rows
+    assert len(rows) == (2 * 4 * 3 if figure == "fig2" else 2 * 3)
+
+
 @pytest.mark.parametrize(
-    "argv, config",
+    "argv, config, names",
     [
-        (("fidelity", "--r", "400", "--eta", "0.9"), None),
-        (("fig1",), {"r_max": 400}),
-        (("fig2", "--etas", ","), None),
-        (("fig2",), {"eta_list": []}),
+        (("fidelity", "--r", "400", "--eta", "0.9"), None, "r "),
+        (("fig1",), {"r_max": 400}, "r "),
+        (("fig2", "--etas", ","), None, "eta_list"),
+        (("fig2",), {"eta_list": []}, "eta_list"),
+        (("fig1",), {"eta_list": 0.9}, "'eta_list'"),
+        (("fig2",), {"eta_list": 0.9}, "'eta_list'"),
+        (("fig1",), {"eta_list": None}, "'eta_list'"),
+        (("fig2",), {"eta_list": None}, "'eta_list'"),
+        (("fig3",), {"r_cout": 5}, "'r_cout'"),
+        (("fig2",), {"r_cout": 5}, "'r_cout'"),
+        (("fig1",), {"r_count": 2.7}, "'r_count'"),
+        (("fig4",), {"eta_list": [True]}, "'eta_list'"),
+        (("fig1",), {"r_list": "abc"}, "'r_list'"),
+        (("fig2",), {"j_count": 5.0}, "'j_count'"),
+        (("chsh", "--visibility", "0.9", "--theta", "nan"), None, "theta"),
     ],
-    ids=["fidelity-overflow-r", "fig1-overflow-r_max", "fig2-empty-etas", "fig2-empty-eta_list"],
+    ids=[
+        "fidelity-overflow-r", "fig1-overflow-r_max", "fig2-empty-etas", "fig2-empty-eta_list",
+        "fig1-scalar-eta_list", "fig2-scalar-eta_list", "fig1-null-eta_list", "fig2-null-eta_list",
+        "fig3-unknown-key", "fig2-unknown-key", "fig1-fractional-r_count", "fig4-boolean-eta",
+        "fig1-string-r_list", "fig2-float-j_count", "chsh-nan-theta",
+    ],
 )
-def test_rejected_input_exits_2_with_one_error_line(tmp_path, capsys, argv, config):
+def test_rejected_input_exits_2_with_one_error_line(tmp_path, capsys, argv, config, names):
     if config is not None:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(config))
@@ -249,6 +280,7 @@ def test_rejected_input_exits_2_with_one_error_line(tmp_path, capsys, argv, conf
     assert code == 2
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert names in err
 
 
 def test_cli_import_leaves_scipy_unloaded():

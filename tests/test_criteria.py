@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from eprbell import (
     CRITERIA_CSV_COLUMNS,
+    CriteriaReport,
     EprParams,
     classify,
     conditional_variances,
@@ -16,10 +18,9 @@ from eprbell import (
     mu_opt,
     mu_variances,
     nbar_threshold,
-    report_to_csv,
-    report_to_json,
     second_moments,
 )
+from eprbell.cli import main
 
 LN2_HALF = math.log(2.0) / 2.0
 
@@ -223,26 +224,39 @@ def test_duan_monotonicity():
     assert all(a <= b for a, b in zip(sums_n, sums_n[1:]))
 
 
-def test_csv_row_layout():
+def criteria_cli(capsys, r, eta, nbar, *flags):
+    # reports are serialized by the CLI only, through the report.Table writers
+    code = main(["criteria", "--r", repr(r), "--eta", repr(eta), "--nbar", repr(nbar), *flags])
+    assert code == 0
+    return capsys.readouterr().out
+
+
+def test_csv_row_layout(capsys):
     rep = classify(state(0.4, 0.9, 0.1))
-    text = report_to_csv(rep)
+    text = criteria_cli(capsys, 0.4, 0.9, 0.1)
     header, row = text.strip().split("\n")
     assert header == ",".join(CRITERIA_CSV_COLUMNS)
     cells = row.split(",")
     assert len(cells) == len(CRITERIA_CSV_COLUMNS)
     assert float(cells[0]) == 0.4
     assert cells[CRITERIA_CSV_COLUMNS.index("duan_nonseparable")] in ("true", "false")
+    for name, cell in zip(CRITERIA_CSV_COLUMNS, cells):
+        value = getattr(rep, name)
+        if isinstance(value, bool):
+            assert cell == str(value).lower()
+        else:
+            assert cell == format(value, ".17g")
 
 
-def test_csv_unbounded_threshold_renders_inf():
-    rep = classify(state(0.4, 1.0))
-    row = report_to_csv(rep, header=False).strip().split(",")
+def test_csv_unbounded_threshold_renders_inf(capsys):
+    row = criteria_cli(capsys, 0.4, 1.0, 0.0).strip().splitlines()[1].split(",")
     assert row[CRITERIA_CSV_COLUMNS.index("nbar_threshold")] == "inf"
 
 
-def test_json_round_trip():
+def test_json_round_trip(capsys):
     rep = classify(state(0.4, 1.0))
-    obj = json.loads(report_to_json(rep))
+    obj = json.loads(criteria_cli(capsys, 0.4, 1.0, 0.0, "--json"))
+    assert list(obj) == [field.name for field in dataclasses.fields(CriteriaReport)]
     assert obj["nbar_threshold"] == "inf"
     assert obj["duan_nonseparable"] is True
     assert obj["duan_sum"] == rep.duan_sum

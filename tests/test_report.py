@@ -163,6 +163,18 @@ def test_jsonl_round_trip():
     assert '"inf"' in text
 
 
+def test_csv_rejects_ragged_rows():
+    for text in ("a,b\n1,2,3\n4\n", "a,b\n1,2\n4\n", "a,b\n1,2,3\n"):
+        with pytest.raises(ValueError, match="header"):
+            table_from_csv(text)
+
+
+def test_jsonl_rejects_mismatched_keys():
+    for text in ('{"a": 1}\n{"a": 2, "b": 3}\n', '{"a": 1, "b": 2}\n{"a": 3}\n', '{"a": 1}\n{"b": 1}\n'):
+        with pytest.raises(ValueError, match="keys"):
+            table_from_jsonl(text)
+
+
 def test_sweeps_independent_of_worker_count(monkeypatch):
     spec = SweepSpec.from_range(0.0, 2.0, 12, eta_list=(0.95, 0.6))
     baseline = table_to_csv(fig4(spec))
