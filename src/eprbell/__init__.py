@@ -28,11 +28,11 @@ from .epr_model import (
     make_state,
     mu_opt,
     second_moments,
+    sigma_pair,
     wigner,
 )
 from .oracle import OracleConfig, OracleEstimate, mc_fidelity, sample_epr
 from .report import (
-    BellScanRow,
     SweepSpec,
     Table,
     fig1,

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .epr_model import EprParams, GaussianEprState, TwoModePoint, mu_opt, wigner
+from .epr_model import EprParams, GaussianEprState, TwoModePoint, wigner
 
 __all__ = [
     "BellResult",
@@ -60,6 +60,31 @@ def pi_corr(state: GaussianEprState, pt: TwoModePoint):
     return (math.pi**2 / 4.0) * wigner(state, pt)
 
 
+def _b(sp, sm, j):
+    """The reduced form of B(J) (see :func:`b_of_j`) for floats or broadcast-compatible arrays."""
+    return (1.0 + 2.0 * np.exp(-j * (1.0 / sp + 1.0 / sm)) - np.exp(-4.0 * j / sm)) / (sp * sm)
+
+
+def _bell_max(sp, sm):
+    """(J*, B(J*), B(J*) > 2) of :func:`maximize_b` for floats or broadcast-compatible arrays."""
+    j = np.log1p((sp - sm) / (sp + sm)) * sm / (3.0 - sm / sp)
+    b = _b(sp, sm, j)
+    return j, b, b > 2.0
+
+
+def _loss_bound(r, eta):
+    """The flag of :func:`loss_bound_ok` for floats or arrays, halved on both sides against overflow."""
+    return (1.0 - eta) * np.cosh(2.0 * r) < 0.5
+
+
+def _displacements(j):
+    """J values as a float array, each checked to be finite and >= 0."""
+    j = np.asarray(j, dtype=float)
+    if not np.all(np.isfinite(j)) or np.any(j < 0.0):
+        raise ValueError(f"j must be finite and >= 0, got {j!r}")
+    return j
+
+
 def b_of_j(state: GaussianEprState, j):
     """CHSH combination of four displaced-parity correlations at displacement J.
 
@@ -71,12 +96,7 @@ def b_of_j(state: GaussianEprState, j):
     The tests keep the four-term sum of :func:`pi_corr` values as the
     independent reference.  Accepts a scalar or array of nonnegative J values.
     """
-    j = np.asarray(j, dtype=float)
-    if not np.all(np.isfinite(j)) or np.any(j < 0.0):
-        raise ValueError(f"j must be finite and >= 0, got {j!r}")
-    sp = state.sigma_plus_sq
-    sm = state.sigma_minus_sq
-    b = (1.0 + 2.0 * np.exp(-j * (1.0 / sp + 1.0 / sm)) - np.exp(-4.0 * j / sm)) / (sp * sm)
+    b = _b(state.sigma_plus_sq, state.sigma_minus_sq, _displacements(j))
     return float(b) if b.ndim == 0 else b
 
 
@@ -86,16 +106,16 @@ def maximize_b(state: GaussianEprState) -> BellResult:
     With a = 1/sp + 1/sm and b = 4/sm (the reduced form of :func:`b_of_j`),
     dB/dJ = [b*exp(-b*J) - 2a*exp(-a*J)] / (sp*sm) vanishes only at
 
-        J* = ln(b / 2a) / (b - a) = ln(2*sp / (sp + sm)) / (3/sm - 1/sp),
+        J* = ln(b / 2a) / (b - a) = log1p(mu_opt) * sm / (3 - sm/sp),
 
-    where ln(2*sp/(sp + sm)) = log1p(mu_opt) avoids cancellation at small r.
-    Since sp >= sm, b - a > 0 and the slope at J = 0, 2/sm - 2/sp, is >= 0,
-    so J* is the global maximum on J >= 0; J* = 0 exactly when sp = sm.
-    B_max is the reduced form at J*.
+    where ln(2*sp/(sp + sm)) = log1p(mu_opt) avoids cancellation at small r,
+    and the factor sm keeps 3/sm from overflowing when sm is subnormal
+    (r near the overflow edge).  Since sp >= sm, b - a > 0 and the slope at
+    J = 0, 2/sm - 2/sp, is >= 0, so J* is the global maximum on J >= 0;
+    J* = 0 exactly when sp = sm.  B_max is the reduced form at J*.
     """
-    j_max = math.log1p(mu_opt(state)) / (3.0 / state.sigma_minus_sq - 1.0 / state.sigma_plus_sq)
-    b_max = b_of_j(state, j_max)
-    return BellResult(j_max=j_max, b_max=b_max, violates=b_max > 2.0)
+    j_max, b_max, violates = _bell_max(state.sigma_plus_sq, state.sigma_minus_sq)
+    return BellResult(j_max=float(j_max), b_max=float(b_max), violates=bool(violates))
 
 
 def loss_bound_ok(params: EprParams) -> bool:
@@ -105,7 +125,7 @@ def loss_bound_ok(params: EprParams) -> bool:
     than one"); this sharp cut is a reading aid on scan rows, never a
     correctness gate.
     """
-    return 2.0 * (1.0 - params.eta) * math.cosh(2.0 * params.r) < 1.0
+    return bool(_loss_bound(params.r, params.eta))
 
 
 def _chsh_combination(v: float, theta: float, angles) -> float:

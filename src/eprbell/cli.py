@@ -24,7 +24,7 @@ import numpy as np
 from . import report as report_mod
 from .bell import b_of_j, maximize_b, optimize_scaled_chsh
 from .criteria import CRITERIA_CSV_COLUMNS, classify
-from .epr_model import EprParams, make_state
+from .epr_model import EprParams, GaussianEprState, make_state
 from .oracle import OracleConfig, mc_fidelity
 from .teleport import fidelity
 
@@ -37,9 +37,8 @@ def _add_state_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--nbar", type=float, default=0.0, help="ancilla thermal occupancy (default 0)")
 
 
-def _state(args) -> "tuple[EprParams, object]":
-    params = EprParams(r=args.r, eta=args.eta, nbar=args.nbar)
-    return params, make_state(params)
+def _state(args) -> GaussianEprState:
+    return make_state(EprParams(r=args.r, eta=args.eta, nbar=args.nbar))
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -51,7 +50,7 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def _cmd_fidelity(args) -> int:
-    _, state = _state(args)
+    state = _state(args)
     result = fidelity(state)
     if args.json:
         print(json.dumps({
@@ -67,7 +66,7 @@ def _cmd_fidelity(args) -> int:
 
 
 def _cmd_criteria(args) -> int:
-    _, state = _state(args)
+    state = _state(args)
     rep = classify(state, mu=args.mu)
     if args.json:
         columns = tuple(field.name for field in dataclasses.fields(rep))
@@ -80,23 +79,19 @@ def _cmd_criteria(args) -> int:
 
 
 def _cmd_bell_scan(args) -> int:
-    _, state = _state(args)
+    state = _state(args)
     if args.points < 1:
         raise ValueError(f"--points must be >= 1, got {args.points}")
     if not (0.0 <= args.j_min <= args.j_max):
         raise ValueError(f"need 0 <= j-min <= j-max, got {args.j_min}, {args.j_max}")
     grid = np.linspace(args.j_min, args.j_max, args.points)
-    values = b_of_j(state, grid)
-    table = report_mod.Table(
-        columns=("J", "B"),
-        rows=tuple((float(j), float(b)) for j, b in zip(grid, np.atleast_1d(values))),
-    )
+    table = report_mod.Table(columns=("J", "B"), rows=tuple(zip(grid.tolist(), b_of_j(state, grid).tolist())))
     _emit(report_mod.table_to_csv(table), None)
     return 0
 
 
 def _cmd_bell_max(args) -> int:
-    _, state = _state(args)
+    state = _state(args)
     result = maximize_b(state)
     print(f"j_max={result.j_max:.17g}")
     print(f"b_max={result.b_max:.17g}")
@@ -115,7 +110,7 @@ def _cmd_chsh(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    _, state = _state(args)
+    state = _state(args)
     config = OracleConfig(samples=args.samples, seed=args.seed)
     estimate = mc_fidelity(state, config)
     analytic = fidelity(state).fidelity

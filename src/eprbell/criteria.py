@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .epr_model import GaussianEprState, mu_opt
+from .epr_model import EprParams, GaussianEprState, mu_opt
 
 __all__ = [
     "CriteriaReport",
@@ -86,10 +86,10 @@ class CriteriaReport:
 def duan_sum(state: GaussianEprState) -> float:
     """Joint-quadrature variance sum <(x1-x2)^2> + <(p1+p2)^2> = sigma_minus_sq.
 
-    The state is nonseparable whenever the result is < 1.
+    This is the mu = 1 sum of :func:`mu_variances`, [0 + 4*sm]/8 twice, held
+    exactly as sm.  The state is nonseparable whenever the result is < 1.
     """
-    dx_sq, dp_sq = mu_variances(state, 1.0)
-    return dx_sq + dp_sq
+    return state.sigma_minus_sq
 
 
 def nbar_threshold(r: float, eta: float) -> float:
@@ -98,10 +98,7 @@ def nbar_threshold(r: float, eta: float) -> float:
     Returns eta*(1 - exp(-2r)) / (2*(1 - eta)); 0 when r = 0 (no squeezing,
     never entangled) and +inf when eta = 1 (ancillas never couple in).
     """
-    if not (math.isfinite(r) and r >= 0.0):
-        raise ValueError(f"r must be finite and >= 0, got {r!r}")
-    if not (math.isfinite(eta) and 0.0 <= eta <= 1.0):
-        raise ValueError(f"eta must be in [0, 1], got {eta!r}")
+    EprParams(r, eta)  # the one validator of the knobs
     if r == 0.0:
         return 0.0
     if eta == 1.0:

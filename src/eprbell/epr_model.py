@@ -33,6 +33,7 @@ __all__ = [
     "TwoModePoint",
     "SecondMoments",
     "make_state",
+    "sigma_pair",
     "wigner",
     "second_moments",
     "mu_opt",
@@ -125,16 +126,21 @@ class SecondMoments:
     cov_pp: float
 
 
+def sigma_pair(r, eta, nbar):
+    """(sigma_plus_sq, sigma_minus_sq) of the module docstring for floats or
+    broadcast-compatible arrays of already validated knobs."""
+    thermal = (1.0 - eta) * (1.0 + 2.0 * nbar)
+    return eta * np.exp(2.0 * r) + thermal, eta * np.exp(-2.0 * r) + thermal
+
+
 def make_state(params: EprParams) -> GaussianEprState:
     """Build the traced-out two-mode Gaussian state for the given knobs.
 
     For eta = 1 this reduces to the pure squeezed-vacuum pair
     (exp(2r), exp(-2r)) regardless of nbar.
     """
-    thermal = (1.0 - params.eta) * (1.0 + 2.0 * params.nbar)
-    sigma_plus_sq = params.eta * math.exp(2.0 * params.r) + thermal
-    sigma_minus_sq = params.eta * math.exp(-2.0 * params.r) + thermal
-    return GaussianEprState(sigma_plus_sq, sigma_minus_sq, params)
+    sigma_plus_sq, sigma_minus_sq = sigma_pair(params.r, params.eta, params.nbar)
+    return GaussianEprState(float(sigma_plus_sq), float(sigma_minus_sq), params)
 
 
 def wigner(state: GaussianEprState, pt: TwoModePoint):

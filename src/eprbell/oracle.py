@@ -3,8 +3,9 @@
 The Wigner density of this state family is a genuine probability density,
 so quadratures can be sampled directly: the combinations (x1+x2, p1-p2)
 are i.i.d. zero-mean Gaussians of variance sigma_plus_sq/2 and
-(x1-x2, p1+p2) of variance sigma_minus_sq/2, after which the per-mode
-coordinates follow by solving the linear pairs.
+(x1-x2, p1+p2) of variance sigma_minus_sq/2.  sample_epr solves the
+linear pairs for the per-mode coordinates; mc_fidelity needs only the two
+noise combinations (x1-x2, p1+p2) and draws just those.
 
 Reproducibility contract: all variates are produced by applying the
 inverse normal CDF to 53-bit uniforms drawn from a PCG64 stream seeded
@@ -60,8 +61,9 @@ class OracleEstimate:
     duan_sum_hat: float
 
 
-def _blocks(state: GaussianEprState, config: OracleConfig):
-    """Yield (n, 4) arrays of (x1, p1, x2, p2) rows, BLOCK rows at a time.
+def _blocks(state: GaussianEprState, config: OracleConfig, factors):
+    """Yield (len(factors), n) arrays of the requested stream factors, scaled
+    to their variances, BLOCK samples at a time.
 
     This is the only place that knows the stream layout (see the module
     docstring).  The yielded array is a view of a buffer that the next
@@ -73,31 +75,22 @@ def _blocks(state: GaussianEprState, config: OracleConfig):
 
     samples = config.samples
     rngs = []
-    for f in range(4):
+    for f in factors:
         bit_generator = np.random.PCG64(config.seed)
         bit_generator.advance(f * samples)
         rngs.append(np.random.Generator(bit_generator))
-    scale_plus = math.sqrt(state.sigma_plus_sq / 2.0)
-    scale_minus = math.sqrt(state.sigma_minus_sq / 2.0)
-    scales = (scale_plus, scale_minus, scale_plus, scale_minus)
-    z_buf = np.empty((4, min(BLOCK, samples)))
-    out_buf = np.empty_like(z_buf)
+    sigma_sq = (state.sigma_plus_sq, state.sigma_minus_sq)  # even factors, odd factors
+    scales = [math.sqrt(sigma_sq[f % 2] / 2.0) for f in factors]
+    z_buf = np.empty((len(factors), min(BLOCK, samples)))
     for start in range(0, samples, BLOCK):
-        n = min(BLOCK, samples - start)
-        z, out = z_buf[:, :n], out_buf[:, :n]
+        z = z_buf[:, :min(BLOCK, samples - start)]
         for rng, row, scale in zip(rngs, z, scales):
-            row[...] = rng.integers(0, 1 << 53, size=n, dtype=np.uint64)
+            row[...] = rng.integers(0, 1 << 53, size=len(row), dtype=np.uint64)
             row += 0.5
             row *= 2.0**-53
             ndtri(row, out=row)
             row *= scale
-        sum_x, diff_x, diff_p, sum_p = z
-        np.add(sum_x, diff_x, out=out[0])  # x1
-        np.add(sum_p, diff_p, out=out[1])  # p1
-        np.subtract(sum_x, diff_x, out=out[2])  # x2
-        np.subtract(sum_p, diff_p, out=out[3])  # p2
-        out /= 2.0
-        yield out.T
+        yield z
 
 
 def sample_epr(state: GaussianEprState, config: OracleConfig) -> np.ndarray:
@@ -106,11 +99,13 @@ def sample_epr(state: GaussianEprState, config: OracleConfig) -> np.ndarray:
 
     The four Gaussian factors are drawn in the fixed order
     (x1+x2, x1-x2, p1-p2, p1+p2) so the stream layout is part of the
-    reproducibility contract.
+    reproducibility contract; the modes are then solved from the pairs.
     """
     out = np.empty((config.samples, 4))
-    for start, block in zip(range(0, config.samples, BLOCK), _blocks(state, config)):
-        out[start:start + len(block)] = block
+    starts = range(0, config.samples, BLOCK)
+    for start, (sum_x, diff_x, diff_p, sum_p) in zip(starts, _blocks(state, config, range(4))):
+        modes = (sum_x + diff_x, sum_p + diff_p, sum_x - diff_x, sum_p - diff_p)  # 2*(x1, p1, x2, p2)
+        out[start:start + len(sum_x)] = np.stack(modes, axis=1) / 2.0
     return out
 
 
@@ -124,15 +119,17 @@ def mc_fidelity(state: GaussianEprState, config: OracleConfig) -> OracleEstimate
     N(0, s^2) with s^2 = sigma_minus_sq/2, and E[exp(-n^2)] = 1/sqrt(1+2 s^2)
     per independent quadrature.
 
+    The noise quadratures are themselves stream factors, -n_x = x1 - x2
+    (factor 1) and n_p = p1 + p2 (factor 3), so only those two are drawn.
+    Rebuilding them from the modes would cancel once sp/sm nears 2**52.
     Samples are reduced block by block and never held all at once.
     """
     if config.samples < 2:
         raise ValueError("mc_fidelity needs samples >= 2 to form a standard error")
     f_sums, noise_sums = [], []
     count, mean, m2 = 0, 0.0, 0.0
-    for block in _blocks(state, config):
-        x1, p1, x2, p2 = block.T
-        noise_sq = (x2 - x1) ** 2 + (p2 + p1) ** 2
+    for diff_x, sum_p in _blocks(state, config, (1, 3)):
+        noise_sq = diff_x**2 + sum_p**2
         f = np.exp(-noise_sq)
         n = len(f)
         f_sum = float(np.sum(f))

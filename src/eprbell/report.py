@@ -13,15 +13,17 @@ The four datasets are:
 
 Tables are emitted as CSV (primary; header row, '.' decimal separator,
 17 significant digits, "inf" for unbounded values) or JSON lines.  Every
-quantity is a closed form of the state, so sweeps run in-process as plain
-loops and always emit rows in (eta descending, r ascending) order.  The
-EPRBELL_WORKERS environment variable (integer >= 1, default 1) is validated
-on every sweep and is otherwise reserved for the Monte-Carlo oracle.
+quantity is a closed form of the variance pair (sp, sm), written once for
+floats or arrays and shared with the scalar API (``fidelity``,
+``maximize_b``, ...): each table is one call over the (eta, r) mesh, whose
+values EprParams validates, with rows in (eta descending, r ascending)
+order and Python float/bool cells.  The EPRBELL_WORKERS environment
+variable (integer >= 1, default 1) is validated on every sweep and is
+otherwise reserved for the Monte-Carlo oracle.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 import os
@@ -29,17 +31,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bell import b_of_j, loss_bound_ok, maximize_b
-from .criteria import duan_sum
-from .epr_model import EprParams, make_state
-from .teleport import fidelity
+from .bell import _b, _bell_max, _displacements, _loss_bound
+from .epr_model import EprParams, sigma_pair
+from .teleport import _fidelity
 
 __all__ = [
     "ENV_WORKERS",
     "DEFAULT_ETAS",
     "DEFAULT_FIG2_R",
     "SweepSpec",
-    "BellScanRow",
+    "BELL_SCAN_COLUMNS",
     "Table",
     "fig1",
     "fig2",
@@ -82,14 +83,11 @@ class SweepSpec:
             raise ValueError("r_grid must be nonempty")
         if not self.eta_list:
             raise ValueError("eta_list must be nonempty")
+        # Every value goes through EprParams, the one validator of the knobs.
         for r in self.r_grid:
-            if not (math.isfinite(r) and r >= 0.0):
-                raise ValueError(f"r grid values must be finite and >= 0, got {r}")
+            EprParams(r, self.eta_list[0], self.nbar)
         for eta in self.eta_list:
-            if not (math.isfinite(eta) and 0.0 <= eta <= 1.0):
-                raise ValueError(f"eta values must be in [0, 1], got {eta}")
-        if not (math.isfinite(self.nbar) and self.nbar >= 0.0):
-            raise ValueError(f"nbar must be finite and >= 0, got {self.nbar}")
+            EprParams(self.r_grid[0], eta, self.nbar)
 
     @classmethod
     def from_range(cls, r_min: float, r_max: float, r_count: int, **kwargs) -> "SweepSpec":
@@ -98,22 +96,10 @@ class SweepSpec:
         return cls(r_grid=tuple(np.linspace(r_min, r_max, r_count)), **kwargs)
 
 
-@dataclass(frozen=True)
-class BellScanRow:
-    """One (r, eta) sweep sample with both fidelity and Bell diagnostics."""
-
-    r: float
-    eta: float
-    nbar: float
-    fidelity: float
-    duan_sum: float
-    j_max: float
-    b_max: float
-    violates: bool
-    loss_bound_ok: bool
-
-
-BELL_SCAN_COLUMNS = tuple(field.name for field in dataclasses.fields(BellScanRow))
+# The fig4 columns: one (r, eta) sweep sample with fidelity and Bell diagnostics.
+BELL_SCAN_COLUMNS = (
+    "r", "eta", "nbar", "fidelity", "duan_sum", "j_max", "b_max", "violates", "loss_bound_ok",
+)
 
 
 @dataclass(frozen=True)
@@ -161,74 +147,52 @@ def _worker_count() -> int:
     return count
 
 
-def _ordered_grid(spec: SweepSpec) -> list[tuple]:
+def _mesh(spec: SweepSpec):
+    """(r, eta, nbar) as flat arrays over the grid, eta descending then r ascending."""
     _worker_count()  # reject a malformed EPRBELL_WORKERS on every sweep
-    etas = sorted(spec.eta_list, reverse=True)
-    rs = sorted(spec.r_grid)
-    return [(r, eta, spec.nbar) for eta in etas for r in rs]
+    eta, r = np.meshgrid(sorted(spec.eta_list, reverse=True), sorted(spec.r_grid), indexing="ij")
+    return r.ravel(), eta.ravel(), np.full(r.size, spec.nbar)
+
+
+def _table(columns, *cells) -> Table:
+    """A Table whose column k holds cells[k], as Python floats and bools."""
+    return Table(columns=columns, rows=tuple(zip(*(c.tolist() for c in cells))))
 
 
 def fig1(spec: SweepSpec) -> Table:
     """Fidelity versus squeezing: rows (r, eta, F), eta descending then r ascending."""
-    rows = [
-        (r, eta, fidelity(make_state(EprParams(r=r, eta=eta, nbar=nbar))).fidelity)
-        for r, eta, nbar in _ordered_grid(spec)
-    ]
-    return Table(columns=("r", "eta", "F"), rows=tuple(rows))
+    r, eta, nbar = _mesh(spec)
+    return _table(("r", "eta", "F"), r, eta, _fidelity(sigma_pair(r, eta, nbar)[1]))
 
 
 def fig2(r_list, eta: float, j_grid, nbar: float = 0.0) -> Table:
     """B(J) curves at fixed transmission: rows (r, J, B) for each requested r."""
-    spec = SweepSpec(r_grid=tuple(r_list), eta_list=(eta,), nbar=nbar)  # reuse validation
-    j_grid = tuple(float(j) for j in j_grid)
-    if not j_grid:
-        raise ValueError("j_grid must be nonempty")
-    rows = []
-    for r, eta, nbar in _ordered_grid(spec):
-        values = b_of_j(make_state(EprParams(r=r, eta=eta, nbar=nbar)), np.asarray(j_grid))
-        rows.extend((r, j, float(b)) for j, b in zip(j_grid, values))
-    return Table(columns=("r", "J", "B"), rows=tuple(rows))
+    table = fig2_stacked(r_list, (eta,), j_grid, nbar)
+    return Table(columns=table.columns[1:], rows=tuple(row[1:] for row in table.rows))
 
 
 def fig2_stacked(r_list, eta_list, j_grid, nbar: float = 0.0) -> Table:
     """fig2 for several transmissions: rows (eta, r, J, B), eta descending."""
-    if not eta_list:
-        raise ValueError("eta_list must be nonempty")
-    rows = []
-    for eta in sorted(eta_list, reverse=True):
-        rows.extend((eta,) + row for row in fig2(r_list, eta, j_grid, nbar).rows)
-    return Table(columns=("eta", "r", "J", "B"), rows=tuple(rows))
+    r, eta, nbar = _mesh(SweepSpec(r_grid=r_list, eta_list=eta_list, nbar=nbar))
+    j = _displacements(tuple(j_grid))
+    if not j.size:
+        raise ValueError("j_grid must be nonempty")
+    sp, sm = sigma_pair(r, eta, nbar)
+    b = _b(sp[:, None], sm[:, None], j)
+    return _table(("eta", "r", "J", "B"), eta.repeat(j.size), r.repeat(j.size), np.tile(j, r.size), b.ravel())
 
 
 def fig3(spec: SweepSpec) -> Table:
     """J-maximized B versus squeezing: rows (r, eta, B_max)."""
-    rows = [
-        (r, eta, maximize_b(make_state(EprParams(r=r, eta=eta, nbar=nbar))).b_max)
-        for r, eta, nbar in _ordered_grid(spec)
-    ]
-    return Table(columns=("r", "eta", "B_max"), rows=tuple(rows))
+    r, eta, nbar = _mesh(spec)
+    return _table(("r", "eta", "B_max"), r, eta, _bell_max(*sigma_pair(r, eta, nbar))[1])
 
 
 def fig4(spec: SweepSpec) -> Table:
-    """Parametric fidelity/Bell trace; full BellScanRow per grid point."""
-    rows = []
-    for r, eta, nbar in _ordered_grid(spec):
-        params = EprParams(r=r, eta=eta, nbar=nbar)
-        state = make_state(params)
-        best = maximize_b(state)
-        row = BellScanRow(
-            r=r,
-            eta=eta,
-            nbar=nbar,
-            fidelity=fidelity(state).fidelity,
-            duan_sum=duan_sum(state),
-            j_max=best.j_max,
-            b_max=best.b_max,
-            violates=best.violates,
-            loss_bound_ok=loss_bound_ok(params),
-        )
-        rows.append(tuple(getattr(row, name) for name in BELL_SCAN_COLUMNS))
-    return Table(columns=BELL_SCAN_COLUMNS, rows=tuple(rows))
+    """Parametric fidelity/Bell trace: rows of BELL_SCAN_COLUMNS."""
+    r, eta, nbar = _mesh(spec)
+    sp, sm = sigma_pair(r, eta, nbar)  # sm is also the duan_sum column
+    return _table(BELL_SCAN_COLUMNS, r, eta, nbar, _fidelity(sm), sm, *_bell_max(sp, sm), _loss_bound(r, eta))
 
 
 def _format_cell(value) -> str:
@@ -283,17 +247,24 @@ def table_to_jsonl(table: Table) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _json_cell(value):
+    if isinstance(value, (bool, int, float)):
+        return value
+    if value in ("inf", "-inf"):
+        return float(value)
+    raise ValueError(f'JSONL cell {json.dumps(value)} is not a number, a boolean, "inf" or "-inf"')
+
+
 def table_from_jsonl(text: str) -> Table:
     lines = [line for line in text.splitlines() if line]
     if not lines:
         raise ValueError("empty JSONL input")
     objs = [json.loads(line) for line in lines]
-    columns = tuple(objs[0].keys())
     for index, obj in enumerate(objs, start=1):
+        if not isinstance(obj, dict):
+            raise ValueError(f"JSONL line {index} is not an object")
         if obj.keys() != objs[0].keys():
-            raise ValueError(f"JSONL object {index} does not have the keys {columns}")
-    rows = tuple(
-        tuple(float(obj[name]) if obj[name] in ("inf", "-inf") else obj[name] for name in columns)
-        for obj in objs
-    )
+            raise ValueError(f"JSONL object {index} does not have the keys {tuple(objs[0])}")
+    columns = tuple(objs[0])
+    rows = tuple(tuple(_json_cell(obj[name]) for name in columns) for obj in objs)
     return Table(columns=columns, rows=rows)

@@ -26,13 +26,18 @@ class FidelityResult:
     beats_two_thirds: bool  # F > 2/3, needs more than 3 dB of effective squeezing
 
 
+def _fidelity(duan):
+    """F = 1/(1 + duan_sum) for floats or arrays."""
+    return 1.0 / (1.0 + duan)
+
+
 def fidelity(state: GaussianEprState) -> FidelityResult:
     """Teleportation fidelity F = 1/(1 + duan_sum) with boundary flags.
 
     Built from the variance sum so that F = 1/(1 + duan_sum) holds exactly;
     for nbar = 0 this equals 1/(2 - eta*(1 - exp(-2r))).
     """
-    f = 1.0 / (1.0 + duan_sum(state))
+    f = _fidelity(duan_sum(state))
     return FidelityResult(
         fidelity=f,
         beats_classical=f > F_CLASSICAL,

@@ -146,6 +146,16 @@ def test_maximize_lossless_violates_for_any_squeezing():
         assert result.b_max > 2.0
 
 
+@pytest.mark.parametrize("r", [10.0, 354.0, 354.5, 354.89])
+def test_maximize_lossless_limit_up_to_the_overflow_edge(r):
+    # sp*sm = 1 and sm -> 0: a*J* -> ln2/3 and b*J* -> 4 ln2/3.  Near the edge
+    # sm is subnormal, and a J* written with 3/sm overflows to J* = 0.
+    result = maximize_b(state(r, 1.0))
+    assert result.b_max == pytest.approx(1.0 + 2.0 ** (2.0 / 3.0) - 2.0 ** (-4.0 / 3.0), abs=1e-12)
+    assert result.violates
+    assert result.j_max > 0.0
+
+
 def test_maximize_is_a_local_maximum():
     for r, eta, nbar in [(LN2_HALF, 1.0, 0.0), (0.3, 0.9, 0.0), (1.0, 0.95, 0.2)]:
         s = state(r, eta, nbar)

@@ -162,6 +162,17 @@ def test_std_error_free_of_cancellation(r):
     assert est.std_error == pytest.approx(closed, rel=0.02)
 
 
+@pytest.mark.parametrize("r", [36.0, 100.0, 354.0])
+def test_mc_fidelity_passes_at_large_squeezing(r):
+    # sp/sm is beyond 2**52 here: noise rebuilt from the per-mode rows as
+    # x2 - x1 cancels, and the estimate drifts away from F (or reads 1, SE 0).
+    s = state(r, 0.9)
+    est = mc_fidelity(s, OracleConfig(samples=20_000, seed=3))
+    assert est.std_error > 0.0
+    assert abs(est.fidelity_hat - fidelity(s).fidelity) <= 3.0 * est.std_error
+    assert abs(est.duan_sum_hat - duan_sum(s)) <= 0.05 * duan_sum(s)
+
+
 def test_mc_fidelity_memory_does_not_grow_with_samples():
     s = state(0.6, 0.8, 0.2)
     mc_fidelity(s, OracleConfig(samples=2, seed=11))  # first call imports scipy.special

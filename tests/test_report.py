@@ -7,12 +7,15 @@ from eprbell import (
     EprParams,
     SweepSpec,
     Table,
+    duan_sum,
     fidelity,
     fig1,
     fig2,
     fig3,
     fig4,
+    loss_bound_ok,
     make_state,
+    maximize_b,
     table_from_csv,
     table_from_jsonl,
     table_to_csv,
@@ -25,6 +28,7 @@ from eprbell.report import (
     default_fig1_spec,
     default_fig2_j_grid,
     default_fig3_spec,
+    default_fig4_spec,
 )
 
 LN2_HALF = math.log(2.0) / 2.0
@@ -41,6 +45,8 @@ def test_spec_validation():
         SweepSpec(r_grid=(0.5,), eta_list=(1.2,))
     with pytest.raises(ValueError):
         SweepSpec(r_grid=(0.5,), nbar=-1.0)
+    with pytest.raises(ValueError, match="overflow"):
+        SweepSpec(r_grid=(400.0,))  # beyond the overflow edge of EprParams
 
 
 def test_spec_from_range():
@@ -141,6 +147,31 @@ def test_fig4_rows_consistent():
         assert row[idx["fidelity"]] == pytest.approx(fidelity(state).fidelity, abs=1e-15)
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        default_fig4_spec(),
+        SweepSpec(r_grid=(0.0, 1e-12, 0.3, 354.8), eta_list=(1.0, 0.6, 0.0), nbar=0.0),
+        SweepSpec(r_grid=(0.0, 1e-12, 0.3, 354.8), eta_list=(1.0, 0.6, 0.0), nbar=0.7),
+    ],
+    ids=["default", "edges-nbar0", "edges-nbar0.7"],
+)
+def test_tables_are_the_scalar_api_on_each_state(spec):
+    # One closed form per quantity: every cell equals the scalar API's value
+    # for the same state, and has the same Python type.
+    table = fig4(spec)
+    for row, f_row, b_row in zip(table.rows, fig1(spec).rows, fig3(spec).rows):
+        params = EprParams(*row[:3])
+        s = make_state(params)
+        best = maximize_b(s)
+        expected = (
+            params.r, params.eta, params.nbar, fidelity(s).fidelity, duan_sum(s),
+            best.j_max, best.b_max, best.violates, loss_bound_ok(params),
+        )
+        assert [(type(c), c) for c in row] == [(type(c), c) for c in expected]
+        assert f_row == (row[0], row[1], row[3]) and b_row == (row[0], row[1], row[6])
+
+
 def test_csv_round_trip_exact():
     table = Table(
         columns=("a", "b", "flag"),
@@ -172,6 +203,15 @@ def test_csv_rejects_ragged_rows():
 def test_jsonl_rejects_mismatched_keys():
     for text in ('{"a": 1}\n{"a": 2, "b": 3}\n', '{"a": 1, "b": 2}\n{"a": 3}\n', '{"a": 1}\n{"b": 1}\n'):
         with pytest.raises(ValueError, match="keys"):
+            table_from_jsonl(text)
+
+
+def test_jsonl_rejects_non_objects_and_foreign_cells():
+    for text in ('[1]\n', '{"a": 1}\n[1]\n', '"a"\n'):
+        with pytest.raises(ValueError, match="not an object"):
+            table_from_jsonl(text)
+    for text in ('{"a": "x"}\n', '{"a": null}\n', '{"a": 1}\n{"a": [1]}\n', '{"a": "nan"}\n'):
+        with pytest.raises(ValueError, match="cell"):
             table_from_jsonl(text)
 
 
