@@ -62,7 +62,9 @@ def pi_corr(state: GaussianEprState, pt: TwoModePoint):
 
 def _b(sp, sm, j):
     """The reduced form of B(J) (see :func:`b_of_j`) for floats or broadcast-compatible arrays."""
-    return (1.0 + 2.0 * np.exp(-j * (1.0 / sp + 1.0 / sm)) - np.exp(-4.0 * j / sm)) / (sp * sm)
+    # With sm subnormal (r at its overflow edge) an exponent can overflow to -inf; exp(-inf) = 0 is exact.
+    with np.errstate(over="ignore"):
+        return (1.0 + 2.0 * np.exp(-j * (1.0 / sp + 1.0 / sm)) - np.exp(-4.0 * j / sm)) / (sp * sm)
 
 
 def _bell_max(sp, sm):

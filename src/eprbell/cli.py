@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 
 import numpy as np
@@ -49,80 +50,66 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _write_fields(fields: dict, as_json: bool = False) -> None:
+    """One result as `name=value` lines (a tuple field gives comma-separated
+    cells) or, with ``as_json``, as one JSON line; the report codec writes every cell."""
+    if as_json:
+        table = report_mod.Table(columns=tuple(fields), rows=(tuple(fields.values()),))
+        _emit(report_mod.table_to_jsonl(table), None)
+        return
+    for name, value in fields.items():
+        cells = report_mod.column_text(name, value if isinstance(value, tuple) else (value,))
+        print(f"{name}=" + ",".join(cells))
+
+
+def _j_grid(j_min: float, j_max: float, count: int) -> np.ndarray:
+    """The J grid of bell-scan and fig2: count uniform values on [j_min, j_max]."""
+    if count < 1 or not 0.0 <= j_min <= j_max < math.inf:
+        raise ValueError(f"J grid needs 0 <= j-min <= j-max < inf and points >= 1, got {j_min}, {j_max}, {count}")
+    return np.linspace(j_min, j_max, count)
+
+
 def _cmd_fidelity(args) -> int:
-    state = _state(args)
-    result = fidelity(state)
-    if args.json:
-        print(json.dumps({
-            "fidelity": result.fidelity,
-            "beats_classical": result.beats_classical,
-            "beats_two_thirds": result.beats_two_thirds,
-        }))
-    else:
-        print(f"fidelity={result.fidelity:.17g}")
-        print(f"beats_classical={str(result.beats_classical).lower()}")
-        print(f"beats_two_thirds={str(result.beats_two_thirds).lower()}")
+    _write_fields(dataclasses.asdict(fidelity(_state(args))), args.json)
     return 0
 
 
 def _cmd_criteria(args) -> int:
-    state = _state(args)
-    rep = classify(state, mu=args.mu)
+    rep = classify(_state(args), mu=args.mu)
     if args.json:
-        columns = tuple(field.name for field in dataclasses.fields(rep))
-        write = report_mod.table_to_jsonl
+        _write_fields(dataclasses.asdict(rep), as_json=True)
     else:
-        columns, write = CRITERIA_CSV_COLUMNS, report_mod.table_to_csv
-    table = report_mod.Table(columns=columns, rows=(tuple(getattr(rep, name) for name in columns),))
-    _emit(write(table), None)
+        row = tuple(getattr(rep, name) for name in CRITERIA_CSV_COLUMNS)
+        _emit(report_mod.table_to_csv(report_mod.Table(columns=CRITERIA_CSV_COLUMNS, rows=(row,))), None)
     return 0
 
 
 def _cmd_bell_scan(args) -> int:
     state = _state(args)
-    if args.points < 1:
-        raise ValueError(f"--points must be >= 1, got {args.points}")
-    if not (0.0 <= args.j_min <= args.j_max):
-        raise ValueError(f"need 0 <= j-min <= j-max, got {args.j_min}, {args.j_max}")
-    grid = np.linspace(args.j_min, args.j_max, args.points)
+    grid = _j_grid(args.j_min, args.j_max, args.points)
     table = report_mod.Table(columns=("J", "B"), rows=tuple(zip(grid.tolist(), b_of_j(state, grid).tolist())))
     _emit(report_mod.table_to_csv(table), None)
     return 0
 
 
 def _cmd_bell_max(args) -> int:
-    state = _state(args)
-    result = maximize_b(state)
-    print(f"j_max={result.j_max:.17g}")
-    print(f"b_max={result.b_max:.17g}")
-    print(f"violates={str(result.violates).lower()}")
+    _write_fields(dataclasses.asdict(maximize_b(_state(args))))
     return 0
 
 
 def _cmd_chsh(args) -> int:
-    result = optimize_scaled_chsh(args.visibility, theta=args.theta)
-    print(f"visibility={result.visibility:.17g}")
-    print(f"theta={result.theta:.17g}")
-    print("angles=" + ",".join(format(a, ".17g") for a in result.angles))
-    print(f"s_value={result.s_value:.17g}")
-    print(f"m_scale={result.m_scale:.17g}")
+    _write_fields(dataclasses.asdict(optimize_scaled_chsh(args.visibility, theta=args.theta)))
     return 0
 
 
 def _cmd_oracle(args) -> int:
     state = _state(args)
-    config = OracleConfig(samples=args.samples, seed=args.seed)
-    estimate = mc_fidelity(state, config)
+    estimate = mc_fidelity(state, OracleConfig(samples=args.samples, seed=args.seed))
     analytic = fidelity(state).fidelity
     error = abs(estimate.fidelity_hat - analytic)
     band = 3.0 * estimate.std_error
     ok = error <= band
-    print(f"fidelity_hat={estimate.fidelity_hat:.17g}")
-    print(f"std_error={estimate.std_error:.17g}")
-    print(f"duan_sum_hat={estimate.duan_sum_hat:.17g}")
-    print(f"analytic_fidelity={analytic:.17g}")
-    print(f"abs_error={error:.17g}")
-    print(f"band_3se={band:.17g}")
+    _write_fields({**dataclasses.asdict(estimate), "analytic_fidelity": analytic, "abs_error": error, "band_3se": band})
     print("result=" + ("PASS" if ok else "FAIL"))
     return 0 if ok else 1
 
@@ -166,7 +153,7 @@ def _parse_etas(text: str) -> tuple[float, ...]:
 
 
 def _fig_config(args) -> dict:
-    """The figure config: defaults, then the --config file, then --etas/--nbar.
+    """The figure config: defaults, then the --config file, then the flags.
 
     Every key of the file is checked against the schema, so a misspelt key or
     a value of the wrong JSON type is rejected, naming the key.  Numbers come
@@ -188,53 +175,34 @@ def _fig_config(args) -> dict:
                 raise ValueError(f"config key {key!r} must be {kind}, got {json.dumps(value)}") from None
     if args.etas is not None:
         config["eta_list"] = _parse_etas(args.etas)
-    if args.nbar is not None:
-        config["nbar"] = args.nbar
+    for key, flag in (("nbar", "nbar"), ("j_max", "j_max"), ("j_count", "j_points")):
+        if getattr(args, flag, None) is not None:
+            config[key] = getattr(args, flag)
     return config
 
 
-def _sweep_spec(args, default_range: tuple[float, float, int], default_builder) -> report_mod.SweepSpec:
+def _cmd_sweep(args) -> int:
+    """fig1, fig3 or fig4, named by the subcommand, over the configured r grid."""
     config = _fig_config(args)
-    eta_list, nbar = config["eta_list"], config["nbar"]
+    grid = {"eta_list": config["eta_list"], "nbar": config["nbar"]}
     if "r_list" in config:
-        return report_mod.SweepSpec(r_grid=config["r_list"], eta_list=eta_list, nbar=nbar)
-    if any(key in config for key in ("r_min", "r_max", "r_count")):
-        r_min = config.get("r_min", default_range[0])
-        r_max = config.get("r_max", default_range[1])
-        r_count = config.get("r_count", default_range[2])
-        return report_mod.SweepSpec.from_range(r_min, r_max, r_count, eta_list=eta_list, nbar=nbar)
-    return default_builder(eta_list=eta_list, nbar=nbar)
-
-
-def _cmd_fig1(args) -> int:
-    spec = _sweep_spec(args, (0.0, 3.0, 200), report_mod.default_fig1_spec)
-    _emit(report_mod.table_to_csv(report_mod.fig1(spec)), args.out)
+        spec = report_mod.SweepSpec(r_grid=config["r_list"], **grid)
+    elif config.keys() & {"r_min", "r_max", "r_count"}:
+        r = dict(zip(("r_min", "r_max", "r_count"), report_mod.DEFAULT_R_RANGES[args.command]), **config)
+        spec = report_mod.SweepSpec.from_range(r["r_min"], r["r_max"], r["r_count"], **grid)
+    else:
+        spec = getattr(report_mod, f"default_{args.command}_spec")(**grid)
+    _emit(report_mod.table_to_csv(getattr(report_mod, args.command)(spec)), args.out)
     return 0
 
 
 def _cmd_fig2(args) -> int:
     config = _fig_config(args)
+    j = dict(zip(("j_min", "j_max", "j_count"), report_mod.DEFAULT_FIG2_J), **config)
+    j_grid = _j_grid(j["j_min"], j["j_max"], j["j_count"])
     r_list = config.get("r_list", report_mod.DEFAULT_FIG2_R)
-    j_min = config.get("j_min", 0.0)
-    j_max = args.j_max if args.j_max is not None else config.get("j_max", 2.0)
-    j_count = args.j_points if args.j_points is not None else config.get("j_count", 201)
-    if j_count < 1 or not 0.0 <= j_min <= j_max:
-        raise ValueError("fig2 J grid needs 0 <= j_min <= j_max and j_count >= 1")
-    j_grid = tuple(np.linspace(j_min, j_max, j_count))
     table = report_mod.fig2_stacked(r_list, config["eta_list"], j_grid, config["nbar"])
     _emit(report_mod.table_to_csv(table), args.out)
-    return 0
-
-
-def _cmd_fig3(args) -> int:
-    spec = _sweep_spec(args, (0.0, 3.0, 200), report_mod.default_fig3_spec)
-    _emit(report_mod.table_to_csv(report_mod.fig3(spec)), args.out)
-    return 0
-
-
-def _cmd_fig4(args) -> int:
-    spec = _sweep_spec(args, (0.0, 5.0, 400), report_mod.default_fig4_spec)
-    _emit(report_mod.table_to_csv(report_mod.fig4(spec)), args.out)
     return 0
 
 
@@ -278,12 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
     p.set_defaults(func=_cmd_oracle)
 
-    for name, func in (
-        ("fig1", _cmd_fig1),
-        ("fig2", _cmd_fig2),
-        ("fig3", _cmd_fig3),
-        ("fig4", _cmd_fig4),
-    ):
+    for name, func in (("fig1", _cmd_sweep), ("fig2", _cmd_fig2), ("fig3", _cmd_sweep), ("fig4", _cmd_sweep)):
         p = sub.add_parser(name, help=f"emit the {name} dataset as CSV")
         p.add_argument("--config", default=None, help="JSON config mirroring the sweep spec")
         p.add_argument("--out", default=None, help="output path (default: stdout)")

@@ -95,15 +95,16 @@ def duan_sum(state: GaussianEprState) -> float:
 def nbar_threshold(r: float, eta: float) -> float:
     """Largest ancilla occupancy still compatible with nonseparability.
 
-    Returns eta*(1 - exp(-2r)) / (2*(1 - eta)); 0 when r = 0 (no squeezing,
-    never entangled) and +inf when eta = 1 (ancillas never couple in).
+    Returns eta*(1 - exp(-2r)) / (2*(1 - eta)), with 1 - exp(-2r) taken as
+    -expm1(-2r), which keeps full precision at small r; 0 when r = 0 (no
+    squeezing, never entangled) and +inf when eta = 1 (ancillas never couple in).
     """
     EprParams(r, eta)  # the one validator of the knobs
     if r == 0.0:
         return 0.0
     if eta == 1.0:
         return math.inf
-    return eta * (1.0 - math.exp(-2.0 * r)) / (2.0 * (1.0 - eta))
+    return eta * -math.expm1(-2.0 * r) / (2.0 * (1.0 - eta))
 
 
 def mu_variances(state: GaussianEprState, mu: float) -> tuple[float, float]:

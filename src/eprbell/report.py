@@ -11,15 +11,17 @@ The four datasets are:
 * fig4 - the parametric (fidelity, B_max) trace obtained by eliminating
   the squeezing parameter.
 
-Tables are emitted as CSV (primary; header row, '.' decimal separator,
-17 significant digits, "inf" for unbounded values) or JSON lines.  Every
-quantity is a closed form of the variance pair (sp, sm), written once for
-floats or arrays and shared with the scalar API (``fidelity``,
+Every quantity is a closed form of the variance pair (sp, sm), written
+once for floats or arrays and shared with the scalar API (``fidelity``,
 ``maximize_b``, ...): each table is one call over the (eta, r) mesh, whose
 values EprParams validates, with rows in (eta descending, r ascending)
-order and Python float/bool cells.  The EPRBELL_WORKERS environment
-variable (integer >= 1, default 1) is validated on every sweep and is
-otherwise reserved for the Monte-Carlo oracle.
+order and Python float/bool cells.  Tables are written as CSV (header row,
+17 significant digits, "inf" for unbounded values) or JSON lines by one
+per-column codec, which the CLI's ``name=value`` lines share: a bool
+column is true/false, any other column floats, and a column mixing bools
+with numbers raises ValueError.  The EPRBELL_WORKERS environment variable
+(integer >= 1, default 1) is validated on every sweep and is otherwise
+reserved for the Monte-Carlo oracle.
 """
 
 from __future__ import annotations
@@ -39,6 +41,8 @@ __all__ = [
     "ENV_WORKERS",
     "DEFAULT_ETAS",
     "DEFAULT_FIG2_R",
+    "DEFAULT_R_RANGES",
+    "DEFAULT_FIG2_J",
     "SweepSpec",
     "BELL_SCAN_COLUMNS",
     "Table",
@@ -51,6 +55,7 @@ __all__ = [
     "default_fig3_spec",
     "default_fig4_spec",
     "default_fig2_j_grid",
+    "column_text",
     "table_to_csv",
     "table_from_csv",
     "table_to_jsonl",
@@ -61,6 +66,9 @@ ENV_WORKERS = "EPRBELL_WORKERS"
 
 DEFAULT_ETAS = (0.99, 0.90, 0.70, 0.50)
 DEFAULT_FIG2_R = (0.1, math.log(2.0) / 2.0, 1.0, 2.0)
+# (r_min, r_max, r_count) of each r-swept figure's default grid, and fig2's (j_min, j_max, j_count)
+DEFAULT_R_RANGES = {"fig1": (0.0, 3.0, 200), "fig3": (0.0, 3.0, 200), "fig4": (0.0, 5.0, 400)}
+DEFAULT_FIG2_J = (0.0, 2.0, 201)
 
 
 @dataclass(frozen=True)
@@ -112,12 +120,12 @@ class Table:
 
 def default_fig1_spec(eta_list=DEFAULT_ETAS, nbar: float = 0.0) -> SweepSpec:
     """200 uniform squeezing values on [0, 3]."""
-    return SweepSpec.from_range(0.0, 3.0, 200, eta_list=eta_list, nbar=nbar)
+    return SweepSpec.from_range(*DEFAULT_R_RANGES["fig1"], eta_list=eta_list, nbar=nbar)
 
 
 def default_fig3_spec(eta_list=DEFAULT_ETAS, nbar: float = 0.0) -> SweepSpec:
     """The fig1 grid plus 100 extra points on (0, 0.1] resolving small-r windows."""
-    coarse = np.linspace(0.0, 3.0, 200)
+    coarse = np.linspace(*DEFAULT_R_RANGES["fig3"])
     fine = np.linspace(0.001, 0.1, 100)
     grid = np.unique(np.concatenate([coarse, fine]))
     return SweepSpec(r_grid=tuple(grid), eta_list=eta_list, nbar=nbar)
@@ -125,13 +133,13 @@ def default_fig3_spec(eta_list=DEFAULT_ETAS, nbar: float = 0.0) -> SweepSpec:
 
 def default_fig4_spec(eta_list=DEFAULT_ETAS, nbar: float = 0.0) -> SweepSpec:
     """400 uniform squeezing values on [0, 5]."""
-    return SweepSpec.from_range(0.0, 5.0, 400, eta_list=eta_list, nbar=nbar)
+    return SweepSpec.from_range(*DEFAULT_R_RANGES["fig4"], eta_list=eta_list, nbar=nbar)
 
 
 def default_fig2_j_grid() -> tuple[float, ...]:
     """201 uniform displacement values on [0, 2]; every default curve peaks
     well inside (the interior maximum sits below 0.35 * sigma_minus_sq)."""
-    return tuple(np.linspace(0.0, 2.0, 201))
+    return tuple(np.linspace(*DEFAULT_FIG2_J))
 
 
 def _worker_count() -> int:
@@ -195,10 +203,31 @@ def fig4(spec: SweepSpec) -> Table:
     return _table(BELL_SCAN_COLUMNS, r, eta, nbar, _fidelity(sm), sm, *_bell_max(sp, sm), _loss_bound(r, eta))
 
 
-def _format_cell(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return format(float(value), ".17g")
+_BOOL_TEXT = ("false", "true")
+# repr is json.dumps's text for a finite float; the non-finite reprs map to NaN (as json.dumps
+# writes it) and to the strings "inf"/"-inf", since JSON has no infinity.
+_JSON_NON_FINITE = {"nan": "NaN", "inf": '"inf"', "-inf": '"-inf"'}
+
+
+def column_text(name: str, values, json_form: bool = False) -> list[str]:
+    """One column's cells as CSV (or JSON) text: bools as true/false, anything else as
+    a float, '%.17g' in CSV and json.dumps's text in JSON.  Bools mixed with numbers
+    raise ValueError, since the cells would not read back as they were written."""
+    types = set(map(type, values))
+    if bool in types:
+        if len(types) > 1:
+            raise ValueError(f"column {name!r} mixes booleans with numbers")
+        return list(map(_BOOL_TEXT.__getitem__, values))
+    if json_form:
+        texts = list(map(repr, map(float, values)))
+        return list(map(_JSON_NON_FINITE.get, texts, texts))
+    return list(map("%.17g".__mod__, map(float, values)))
+
+
+def _text_columns(table: Table, json_form: bool) -> list[list[str]]:
+    if set(map(len, table.rows)) - {len(table.columns)}:
+        raise ValueError(f"every row must have the {len(table.columns)} cells of the header")
+    return [column_text(name, values, json_form) for name, values in zip(table.columns, zip(*table.rows))]
 
 
 def _parse_cell(text: str):
@@ -210,10 +239,8 @@ def _parse_cell(text: str):
 
 
 def table_to_csv(table: Table) -> str:
-    lines = [",".join(table.columns)]
-    for row in table.rows:
-        lines.append(",".join(_format_cell(value) for value in row))
-    return "\n".join(lines) + "\n"
+    rows = map(",".join, zip(*_text_columns(table, json_form=False)))
+    return "\n".join([",".join(table.columns), *rows]) + "\n"
 
 
 def table_from_csv(text: str) -> Table:
@@ -230,21 +257,10 @@ def table_from_csv(text: str) -> Table:
     return Table(columns=columns, rows=tuple(rows))
 
 
-def _json_safe(value):
-    if isinstance(value, bool):
-        return value
-    value = float(value)
-    if math.isinf(value):
-        return "inf" if value > 0 else "-inf"
-    return value
-
-
 def table_to_jsonl(table: Table) -> str:
-    lines = [
-        json.dumps({name: _json_safe(value) for name, value in zip(table.columns, row)})
-        for row in table.rows
-    ]
-    return "\n".join(lines) + "\n"
+    keys = [json.dumps(name) + ": " for name in table.columns]
+    rows = zip(*_text_columns(table, json_form=True))
+    return "\n".join("{" + ", ".join(map(str.__add__, keys, row)) + "}" for row in rows) + "\n"
 
 
 def _json_cell(value):

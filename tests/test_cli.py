@@ -283,6 +283,53 @@ def test_rejected_input_exits_2_with_one_error_line(tmp_path, capsys, argv, conf
     assert names in err
 
 
+@pytest.mark.parametrize(
+    "argv, code, expected",
+    [
+        (
+            ("fidelity", "--r", "0.3466", "--eta", "0.9"), 0,
+            "fidelity=0.64517118355245873\nbeats_classical=true\nbeats_two_thirds=false\n",
+        ),
+        (
+            ("fidelity", "--r", "0.3466", "--eta", "0.9", "--json"), 0,
+            '{"fidelity": 0.6451711835524587, "beats_classical": true, "beats_two_thirds": false}\n',
+        ),
+        (
+            ("bell-max", "--r", "0.3466", "--eta", "0.9"), 0,
+            "j_max=0.089060507855922968\nb_max=2.0094384374552408\nviolates=true\n",
+        ),
+        (
+            ("chsh", "--visibility", "0.87", "--theta", "0.3"), 0,
+            "visibility=0.87\ntheta=0.29999999999999999\n"
+            "angles=0,1.5707963267948966,1.0853981633974483,-0.48539816339744829\n"
+            "s_value=2.4607315985291853\nm_scale=1\n",
+        ),
+        (
+            ("oracle", "--r", "0.3466", "--eta", "0.9", "--samples", "20000", "--seed", "3"), 0,
+            "fidelity_hat=0.6428164649424214\nstd_error=0.0017318328041104184\n"
+            "duan_sum_hat=0.5557410512158536\nanalytic_fidelity=0.64517118355245873\n"
+            "abs_error=0.0023547186100373318\nband_3se=0.0051954984123312557\nresult=PASS\n",
+        ),
+    ],
+    ids=["fidelity", "fidelity-json", "bell-max", "chsh", "oracle"],
+)
+def test_single_result_stdout_is_pinned(capsys, argv, code, expected):
+    assert run(capsys, *argv) == (code, expected, "")
+
+
+def test_b_of_j_at_the_overflow_edge_warns_nothing(tmp_path, capsys):
+    # sm is subnormal at r = 354.8, eta = 1, so the exponents overflow to -inf (exactly right)
+    argv = ("bell-scan", "--r", "354.8", "--eta", "1", "--j-min", "0", "--j-max", "1", "--points", "5")
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    s = make_state(EprParams(354.8, 1.0))
+    assert [row[1] for row in table_from_csv(out).rows[1:]] == [1.0 / (s.sigma_plus_sq * s.sigma_minus_sq)] * 4
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"r_list": [354.8]}))
+    code, _, err = run(capsys, "fig2", "--etas", "1", "--config", str(path))
+    assert (code, err) == (0, "")
+
+
 def test_cli_import_leaves_scipy_unloaded():
     env = dict(os.environ, PYTHONPATH=str(Path(eprbell.__file__).resolve().parents[1]))
     code = "import sys, eprbell, eprbell.cli; print('scipy' in sys.modules)"

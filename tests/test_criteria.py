@@ -67,6 +67,17 @@ def test_nbar_threshold_values():
     assert nbar_threshold(1.0, 0.5) == pytest.approx(0.5 * (1 - math.exp(-2)) / 1.0, rel=1e-15)
 
 
+@pytest.mark.parametrize("eta", [0.01, 0.5, 0.99])
+@pytest.mark.parametrize("r", [1e-12, 1e-8, 1e-4, 0.5, 354.8])
+def test_nbar_threshold_matches_mpmath(r, eta):
+    import mpmath
+
+    with mpmath.workdps(50):
+        r_ref, eta_ref = mpmath.mpf(r), mpmath.mpf(eta)
+        ref = eta_ref * (1 - mpmath.exp(-2 * r_ref)) / (2 * (1 - eta_ref))
+        assert abs(nbar_threshold(r, eta) - ref) <= 4.5e-16 * ref
+
+
 def test_nbar_threshold_validation():
     with pytest.raises(ValueError, match="r"):
         nbar_threshold(-1.0, 0.5)

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -29,6 +30,7 @@ from eprbell.report import (
     default_fig2_j_grid,
     default_fig3_spec,
     default_fig4_spec,
+    fig2_stacked,
 )
 
 LN2_HALF = math.log(2.0) / 2.0
@@ -192,6 +194,74 @@ def test_jsonl_round_trip():
     text = table_to_jsonl(table)
     assert table_from_jsonl(text) == table
     assert '"inf"' in text
+
+
+# The per-cell codec the column writers replaced, kept as the reference for their bytes.
+def _format_cell(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return format(float(value), ".17g")
+
+
+def _json_safe(value):
+    if isinstance(value, bool):
+        return value
+    value = float(value)
+    if math.isinf(value):
+        return "inf" if value > 0 else "-inf"
+    return value
+
+
+def _reference_csv(table):
+    lines = [",".join(table.columns)] + [",".join(map(_format_cell, row)) for row in table.rows]
+    return "\n".join(lines) + "\n"
+
+
+def _reference_jsonl(table):
+    lines = [json.dumps({name: _json_safe(v) for name, v in zip(table.columns, row)}) for row in table.rows]
+    return "\n".join(lines) + "\n"
+
+
+CODEC_TABLES = {
+    "fig1": lambda: fig1(default_fig1_spec()),
+    "fig2": lambda: fig2_stacked(DEFAULT_FIG2_R, DEFAULT_ETAS, default_fig2_j_grid()),
+    "fig3": lambda: fig3(default_fig3_spec()),
+    "fig4": lambda: fig4(default_fig4_spec()),
+    "edge-cells": lambda: Table(
+        columns=("x", "n", "np", "flag", "np_bool"),
+        rows=(
+            (math.nan, 3, np.float64(0.1), True, np.bool_(True)),
+            (math.inf, -7, np.float64(-0.0), False, np.bool_(False)),
+            (-math.inf, 0, np.float64(1e308), True, np.bool_(True)),
+            (-0.0, 2**60, np.float64(math.nan), False, 0.5),
+            (5e-324, 1, np.float64(-math.inf), False, np.bool_(True)),
+            (1.0 / 3.0, 10**20, np.float64(2.5e-17), True, 1),
+        ),
+    ),
+    "zero-rows": lambda: Table(columns=("a", "b"), rows=()),
+}
+
+
+@pytest.mark.parametrize("name", CODEC_TABLES)
+def test_column_writers_match_the_per_cell_codec(name):
+    table = CODEC_TABLES[name]()
+    assert table_to_csv(table) == _reference_csv(table)
+    assert table_to_jsonl(table) == _reference_jsonl(table)
+
+
+def test_writers_reject_mixed_columns_and_ragged_rows():
+    mixed = Table(columns=("a", "b"), rows=((0.5, True), (0.25, 1.0)))
+    ragged = Table(columns=("a", "b"), rows=((0.5, 1.0), (0.25,)))
+    for write in (table_to_csv, table_to_jsonl):
+        with pytest.raises(ValueError, match="'b' mixes booleans"):
+            write(mixed)
+        with pytest.raises(ValueError, match="header"):
+            write(ragged)
+
+
+def test_jsonl_keys_with_format_characters_round_trip():
+    table = Table(columns=("a%s", "b%", '"c"', "{d}"), rows=((1.0, True, math.inf, -0.5), (2.0, False, 0.0, 7.0)))
+    assert table_from_jsonl(table_to_jsonl(table)) == table
 
 
 def test_csv_rejects_ragged_rows():
