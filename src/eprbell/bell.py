@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .epr_model import EprParams, GaussianEprState, TwoModePoint, wigner
+from .epr_model import EprParams, GaussianEprState, TwoModePoint, _mu_opt, wigner
 
 __all__ = [
     "BellResult",
@@ -67,9 +67,9 @@ def _b(sp, sm, j):
         return (1.0 + 2.0 * np.exp(-j * (1.0 / sp + 1.0 / sm)) - np.exp(-4.0 * j / sm)) / (sp * sm)
 
 
-def _bell_max(sp, sm):
+def _bell_max(r, eta, sp, sm):
     """(J*, B(J*), B(J*) > 2) of :func:`maximize_b` for floats or broadcast-compatible arrays."""
-    j = np.log1p((sp - sm) / (sp + sm)) * sm / (3.0 - sm / sp)
+    j = np.log1p(_mu_opt(r, eta, sp, sm)) * sm / (3.0 - sm / sp)
     b = _b(sp, sm, j)
     return j, b, b > 2.0
 
@@ -110,13 +110,15 @@ def maximize_b(state: GaussianEprState) -> BellResult:
 
         J* = ln(b / 2a) / (b - a) = log1p(mu_opt) * sm / (3 - sm/sp),
 
-    where ln(2*sp/(sp + sm)) = log1p(mu_opt) avoids cancellation at small r,
+    where ln(2*sp/(sp + sm)) = log1p(mu_opt), with sp - sm = 2*eta*sinh(2r)
+    in mu_opt, avoids cancellation at small r,
     and the factor sm keeps 3/sm from overflowing when sm is subnormal
     (r near the overflow edge).  Since sp >= sm, b - a > 0 and the slope at
     J = 0, 2/sm - 2/sp, is >= 0, so J* is the global maximum on J >= 0;
     J* = 0 exactly when sp = sm.  B_max is the reduced form at J*.
     """
-    j_max, b_max, violates = _bell_max(state.sigma_plus_sq, state.sigma_minus_sq)
+    p = state.params
+    j_max, b_max, violates = _bell_max(p.r, p.eta, state.sigma_plus_sq, state.sigma_minus_sq)
     return BellResult(j_max=float(j_max), b_max=float(b_max), violates=bool(violates))
 
 

@@ -170,12 +170,18 @@ def second_moments(state: GaussianEprState) -> SecondMoments:
     return SecondMoments(var_x=var, var_p=var, cov_xx=cov, cov_pp=-cov)
 
 
+def _mu_opt(r, eta, sp, sm):
+    """:func:`mu_opt` for floats or broadcast-compatible arrays, with sp - sm
+    written as 2*eta*sinh(2r): the difference cancels the thermal term, and
+    at small r every digit with it."""
+    return 2.0 * eta * np.sinh(2.0 * r) / (sp + sm)
+
+
 def mu_opt(state: GaussianEprState) -> float:
     """Optimal linear-estimator gain <x1 x2>/<x2^2> = (sp - sm)/(sp + sm).
 
     Lies in [0, 1) for r >= 0 and tends to 1 as the correlations become
     perfect (r >> 1 at eta = 1).
     """
-    return (state.sigma_plus_sq - state.sigma_minus_sq) / (
-        state.sigma_plus_sq + state.sigma_minus_sq
-    )
+    p = state.params
+    return float(_mu_opt(p.r, p.eta, state.sigma_plus_sq, state.sigma_minus_sq))

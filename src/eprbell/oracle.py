@@ -15,29 +15,43 @@ exactly one 64-bit draw, so for N samples factor f of sample i (factors in
 the order x1+x2, x1-x2, p1-p2, p1+p2) sits at stream position f*N + i:
 the variates equal those of the single draw
 ``default_rng(seed).integers(0, 2**53, (4, N), uint64)``.  Sampling and
-reduction run over fixed blocks of BLOCK samples, each factor's generator
-jumped ahead to its slice with PCG64.advance, so memory does not grow with
-N.  BLOCK is part of the contract, not a tuning knob: the mean estimates
-are math.fsum of the per-block sums over N (exactly rounded, independent
-of block order), and the variance combines each block's two-pass
-(count, mean, M2) in block order with the pairwise update of Chan, Golub &
-LeVeque (1979).  A fixed (seed, samples, state) triple therefore
-reproduces bit-identical estimates; platform-dependent rounding of the
-transcendentals involved is below 1e-12.
+reduction run over fixed blocks of BLOCK samples, and each block is
+computed on its own: every factor gets a fresh PCG64(seed) jumped ahead
+to f*N + start with PCG64.advance, so memory does not grow with N.  BLOCK
+is part of the contract, not a tuning knob: the mean estimates are
+math.fsum of the per-block sums over N (exactly rounded), and the
+variance combines each block's two-pass (count, mean, M2) in block order
+with the pairwise update of Chan, Golub & LeVeque (1979).  A fixed
+(seed, samples, state) triple therefore reproduces bit-identical
+estimates; platform-dependent rounding of the transcendentals involved is
+below 1e-12.
+
+Worker mode: blocks run on a thread pool of EPRBELL_WORKERS threads
+(integer >= 1; unset, the number of CPUs this process may run on), capped
+at the number of blocks.  The integer draw, ndtri and the numpy
+reductions release the GIL, so blocks overlap.  Since a block depends
+only on its own index and the results are reduced in block order, the
+estimates and the samples are bit-identical for every worker count.  With
+one block or one worker, blocks run inline and no pool is made; the pool
+is made on first use and kept for the process.  Each thread reuses one
+block buffer, so memory is bounded by the workers times BLOCK.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .epr_model import GaussianEprState
 
-__all__ = ["BLOCK", "OracleConfig", "OracleEstimate", "sample_epr", "mc_fidelity"]
+__all__ = ["BLOCK", "ENV_WORKERS", "OracleConfig", "OracleEstimate", "sample_epr", "mc_fidelity"]
 
 BLOCK = 2**16
+ENV_WORKERS = "EPRBELL_WORKERS"
 
 
 @dataclass(frozen=True)
@@ -61,36 +75,74 @@ class OracleEstimate:
     duan_sum_hat: float
 
 
-def _blocks(state: GaussianEprState, config: OracleConfig, factors):
-    """Yield (len(factors), n) arrays of the requested stream factors, scaled
-    to their variances, BLOCK samples at a time.
+def _worker_count() -> int:
+    """EPRBELL_WORKERS as an integer >= 1; unset, the CPUs this process may run on."""
+    raw = os.environ.get(ENV_WORKERS)
+    if raw is None:
+        return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    try:
+        count = int(raw)
+    except ValueError:
+        raise ValueError(f"{ENV_WORKERS} must be an integer >= 1, got {raw!r}") from None
+    if count < 1:
+        raise ValueError(f"{ENV_WORKERS} must be an integer >= 1, got {raw!r}")
+    return count
+
+
+_thread = threading.local()  # .buf: this thread's (4, BLOCK) block buffer
+_pool_lock = threading.Lock()
+_pool = None  # (workers, pid, executor) of the kept pool
+
+
+def _block(state: GaussianEprState, config: OracleConfig, factors, start: int) -> np.ndarray:
+    """The requested stream factors of block start // BLOCK, scaled to their
+    variances: a (len(factors), n) view of this thread's buffer.
 
     This is the only place that knows the stream layout (see the module
-    docstring).  The yielded array is a view of a buffer that the next
-    block overwrites, so consume it before advancing.
+    docstring).  The thread's next block overwrites the view, so consume it
+    first.
     """
     # Deferred: importing scipy.special is most of the CLI's start-up time,
     # and only the oracle needs it.
     from scipy.special import ndtri
 
-    samples = config.samples
-    rngs = []
-    for f in factors:
-        bit_generator = np.random.PCG64(config.seed)
-        bit_generator.advance(f * samples)
-        rngs.append(np.random.Generator(bit_generator))
+    if getattr(_thread, "buf", None) is None:
+        # Rows a caller never writes are never touched, so they take no memory.
+        _thread.buf = np.empty((4, BLOCK))
     sigma_sq = (state.sigma_plus_sq, state.sigma_minus_sq)  # even factors, odd factors
-    scales = [math.sqrt(sigma_sq[f % 2] / 2.0) for f in factors]
-    z_buf = np.empty((len(factors), min(BLOCK, samples)))
-    for start in range(0, samples, BLOCK):
-        z = z_buf[:, :min(BLOCK, samples - start)]
-        for rng, row, scale in zip(rngs, z, scales):
-            row[...] = rng.integers(0, 1 << 53, size=len(row), dtype=np.uint64)
-            row += 0.5
-            row *= 2.0**-53
-            ndtri(row, out=row)
-            row *= scale
-        yield z
+    z = _thread.buf[:len(factors), :min(BLOCK, config.samples - start)]
+    for f, row in zip(factors, z):
+        bit_generator = np.random.PCG64(config.seed)
+        bit_generator.advance(f * config.samples + start)
+        # Generator.random takes one 64-bit draw x per value and returns k / 2**53 with
+        # k = x >> 11, the k of integers(0, 2**53); adding 2**-54 rounds exactly as
+        # (k + 1/2) / 2**53 does, and needs no integer temporary.
+        np.random.Generator(bit_generator).random(out=row)
+        row += 2.0**-54
+        ndtri(row, out=row)
+        row *= math.sqrt(sigma_sq[f % 2] / 2.0)
+    return z
+
+
+def _map_blocks(fn, samples: int) -> list:
+    """[fn(start) for each block start], in block order, run on the kept pool
+    when there is more than one block and more than one worker."""
+    global _pool
+    starts = range(0, samples, BLOCK)
+    workers = _worker_count()  # a malformed EPRBELL_WORKERS is rejected before any block runs
+    if workers == 1 or len(starts) == 1:
+        return list(map(fn, starts))
+    with _pool_lock:
+        # A pool does not survive fork, hence the pid; a replaced pool's threads
+        # exit once its last caller drops it.
+        if _pool is None or _pool[:2] != (workers, os.getpid()):
+            from concurrent.futures import ThreadPoolExecutor
+
+            _pool = (workers, os.getpid(), ThreadPoolExecutor(workers))
+        executor = _pool[2]
+    # The executor starts a thread per queued block only while none is idle,
+    # so it runs at most min(workers, blocks) threads.
+    return list(executor.map(fn, starts))
 
 
 def sample_epr(state: GaussianEprState, config: OracleConfig) -> np.ndarray:
@@ -102,11 +154,29 @@ def sample_epr(state: GaussianEprState, config: OracleConfig) -> np.ndarray:
     reproducibility contract; the modes are then solved from the pairs.
     """
     out = np.empty((config.samples, 4))
-    starts = range(0, config.samples, BLOCK)
-    for start, (sum_x, diff_x, diff_p, sum_p) in zip(starts, _blocks(state, config, range(4))):
+
+    def fill(start):
+        sum_x, diff_x, diff_p, sum_p = _block(state, config, range(4), start)
         modes = (sum_x + diff_x, sum_p + diff_p, sum_x - diff_x, sum_p - diff_p)  # 2*(x1, p1, x2, p2)
         out[start:start + len(sum_x)] = np.stack(modes, axis=1) / 2.0
+
+    _map_blocks(fill, config.samples)
     return out
+
+
+def _fidelity_block(state: GaussianEprState, config: OracleConfig, start: int):
+    """(n, sum f, sum noise_sq, mean f, M2 of f) of one block, computed in
+    place in the block buffer; np.square is bit-identical to x**2."""
+    diff_x, sum_p = _block(state, config, (1, 3), start)
+    noise_sq = np.square(diff_x, out=diff_x)
+    noise_sq += np.square(sum_p, out=sum_p)
+    noise_sum = float(np.sum(noise_sq))
+    f = np.exp(np.negative(noise_sq, out=noise_sq), out=noise_sq)
+    n = len(f)
+    f_sum = float(np.sum(f))
+    block_mean = f_sum / n
+    f -= block_mean
+    return n, f_sum, noise_sum, block_mean, float(np.sum(np.square(f, out=f)))
 
 
 def mc_fidelity(state: GaussianEprState, config: OracleConfig) -> OracleEstimate:
@@ -126,24 +196,17 @@ def mc_fidelity(state: GaussianEprState, config: OracleConfig) -> OracleEstimate
     """
     if config.samples < 2:
         raise ValueError("mc_fidelity needs samples >= 2 to form a standard error")
-    f_sums, noise_sums = [], []
+    blocks = _map_blocks(lambda start: _fidelity_block(state, config, start), config.samples)
     count, mean, m2 = 0, 0.0, 0.0
-    for diff_x, sum_p in _blocks(state, config, (1, 3)):
-        noise_sq = diff_x**2 + sum_p**2
-        f = np.exp(-noise_sq)
-        n = len(f)
-        f_sum = float(np.sum(f))
-        f_sums.append(f_sum)
-        noise_sums.append(float(np.sum(noise_sq)))
-        block_mean = f_sum / n
+    for n, _, _, block_mean, block_m2 in blocks:
         delta = block_mean - mean
         total = count + n
         mean += delta * n / total
-        m2 += float(np.sum((f - block_mean) ** 2)) + delta * delta * count * n / total
+        m2 += block_m2 + delta * delta * count * n / total
         count = total
     samples = config.samples
     return OracleEstimate(
-        fidelity_hat=math.fsum(f_sums) / samples,
+        fidelity_hat=math.fsum(block[1] for block in blocks) / samples,
         std_error=math.sqrt(m2 / (samples - 1)) / math.sqrt(samples),
-        duan_sum_hat=math.fsum(noise_sums) / samples,
+        duan_sum_hat=math.fsum(block[2] for block in blocks) / samples,
     )

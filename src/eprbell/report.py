@@ -20,21 +20,22 @@ order and Python float/bool cells.  Tables are written as CSV (header row,
 per-column codec, which the CLI's ``name=value`` lines share: a bool
 column is true/false, any other column floats, and a column mixing bools
 with numbers raises ValueError.  The EPRBELL_WORKERS environment variable
-(integer >= 1, default 1) is validated on every sweep and is otherwise
-reserved for the Monte-Carlo oracle.
+(integer >= 1; unset, the number of CPUs available) sets the Monte-Carlo
+oracle's thread count; sweeps ignore the count but validate it on every
+call.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bell import _b, _bell_max, _displacements, _loss_bound
 from .epr_model import EprParams, sigma_pair
+from .oracle import ENV_WORKERS, _worker_count
 from .teleport import _fidelity
 
 __all__ = [
@@ -61,8 +62,6 @@ __all__ = [
     "table_to_jsonl",
     "table_from_jsonl",
 ]
-
-ENV_WORKERS = "EPRBELL_WORKERS"
 
 DEFAULT_ETAS = (0.99, 0.90, 0.70, 0.50)
 DEFAULT_FIG2_R = (0.1, math.log(2.0) / 2.0, 1.0, 2.0)
@@ -142,19 +141,6 @@ def default_fig2_j_grid() -> tuple[float, ...]:
     return tuple(np.linspace(*DEFAULT_FIG2_J))
 
 
-def _worker_count() -> int:
-    raw = os.environ.get(ENV_WORKERS)
-    if raw is None:
-        return 1
-    try:
-        count = int(raw)
-    except ValueError:
-        raise ValueError(f"{ENV_WORKERS} must be an integer >= 1, got {raw!r}") from None
-    if count < 1:
-        raise ValueError(f"{ENV_WORKERS} must be an integer >= 1, got {raw!r}")
-    return count
-
-
 def _mesh(spec: SweepSpec):
     """(r, eta, nbar) as flat arrays over the grid, eta descending then r ascending."""
     _worker_count()  # reject a malformed EPRBELL_WORKERS on every sweep
@@ -193,14 +179,14 @@ def fig2_stacked(r_list, eta_list, j_grid, nbar: float = 0.0) -> Table:
 def fig3(spec: SweepSpec) -> Table:
     """J-maximized B versus squeezing: rows (r, eta, B_max)."""
     r, eta, nbar = _mesh(spec)
-    return _table(("r", "eta", "B_max"), r, eta, _bell_max(*sigma_pair(r, eta, nbar))[1])
+    return _table(("r", "eta", "B_max"), r, eta, _bell_max(r, eta, *sigma_pair(r, eta, nbar))[1])
 
 
 def fig4(spec: SweepSpec) -> Table:
     """Parametric fidelity/Bell trace: rows of BELL_SCAN_COLUMNS."""
     r, eta, nbar = _mesh(spec)
     sp, sm = sigma_pair(r, eta, nbar)  # sm is also the duan_sum column
-    return _table(BELL_SCAN_COLUMNS, r, eta, nbar, _fidelity(sm), sm, *_bell_max(sp, sm), _loss_bound(r, eta))
+    return _table(BELL_SCAN_COLUMNS, r, eta, nbar, _fidelity(sm), sm, *_bell_max(r, eta, sp, sm), _loss_bound(r, eta))
 
 
 _BOOL_TEXT = ("false", "true")
@@ -238,9 +224,23 @@ def _parse_cell(text: str):
     return float(text)
 
 
+def _parse_column(texts) -> list:
+    """One CSV column's cells: true/false as bools, anything else as a float."""
+    if set(texts) <= set(_BOOL_TEXT):
+        return [text == "true" for text in texts]
+    try:
+        return list(map(float, texts))
+    except ValueError:  # a column mixing bools with numbers, or a cell that is neither
+        return list(map(_parse_cell, texts))
+
+
 def table_to_csv(table: Table) -> str:
     rows = map(",".join, zip(*_text_columns(table, json_form=False)))
     return "\n".join([",".join(table.columns), *rows]) + "\n"
+
+
+# Rows parsed per pass over whole columns: only their cell strings are alive at once.
+_CSV_CHUNK = 256
 
 
 def table_from_csv(text: str) -> Table:
@@ -249,11 +249,12 @@ def table_from_csv(text: str) -> Table:
         raise ValueError("empty CSV input")
     columns = tuple(lines[0].split(","))
     rows = []
-    for index, line in enumerate(lines[1:], start=1):
-        cells = line.split(",")
-        if len(cells) != len(columns):
-            raise ValueError(f"CSV row {index} has {len(cells)} cells, header has {len(columns)}")
-        rows.append(tuple(_parse_cell(cell) for cell in cells))
+    for first in range(1, len(lines), _CSV_CHUNK):
+        cells = [line.split(",") for line in lines[first:first + _CSV_CHUNK]]
+        for index, row in enumerate(cells, start=first):
+            if len(row) != len(columns):
+                raise ValueError(f"CSV row {index} has {len(row)} cells, header has {len(columns)}")
+        rows.extend(zip(*map(_parse_column, zip(*cells))))
     return Table(columns=columns, rows=tuple(rows))
 
 
@@ -271,6 +272,13 @@ def _json_cell(value):
     raise ValueError(f'JSONL cell {json.dumps(value)} is not a number, a boolean, "inf" or "-inf"')
 
 
+def _json_column(values: list) -> list:
+    """One JSONL column's cells, as _json_cell reads each."""
+    if {bool, int, float}.issuperset(map(type, values)):
+        return values
+    return list(map(_json_cell, values))
+
+
 def table_from_jsonl(text: str) -> Table:
     lines = [line for line in text.splitlines() if line]
     if not lines:
@@ -282,5 +290,5 @@ def table_from_jsonl(text: str) -> Table:
         if obj.keys() != objs[0].keys():
             raise ValueError(f"JSONL object {index} does not have the keys {tuple(objs[0])}")
     columns = tuple(objs[0])
-    rows = tuple(tuple(_json_cell(obj[name]) for name in columns) for obj in objs)
-    return Table(columns=columns, rows=rows)
+    cells = ([obj[name] for obj in objs] for name in columns)
+    return Table(columns=columns, rows=tuple(zip(*map(_json_column, cells))))

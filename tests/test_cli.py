@@ -3,11 +3,13 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
 
 from eprbell.cli import main
+from eprbell.oracle import ENV_WORKERS
 from eprbell.report import DEFAULT_ETAS
 import eprbell
 from eprbell import EprParams, b_of_j, make_state, table_from_csv
@@ -296,7 +298,7 @@ def test_rejected_input_exits_2_with_one_error_line(tmp_path, capsys, argv, conf
         ),
         (
             ("bell-max", "--r", "0.3466", "--eta", "0.9"), 0,
-            "j_max=0.089060507855922968\nb_max=2.0094384374552408\nviolates=true\n",
+            "j_max=0.089060507855922982\nb_max=2.0094384374552408\nviolates=true\n",
         ),
         (
             ("chsh", "--visibility", "0.87", "--theta", "0.3"), 0,
@@ -310,11 +312,42 @@ def test_rejected_input_exits_2_with_one_error_line(tmp_path, capsys, argv, conf
             "duan_sum_hat=0.5557410512158536\nanalytic_fidelity=0.64517118355245873\n"
             "abs_error=0.0023547186100373318\nband_3se=0.0051954984123312557\nresult=PASS\n",
         ),
+        (
+            ("oracle", "--r", "0.3466", "--eta", "0.9", "--samples", "200003", "--seed", "3"), 0,
+            "fidelity_hat=0.64538329483657475\nstd_error=0.00054806753003617615\n"
+            "duan_sum_hat=0.55007063631521969\nanalytic_fidelity=0.64517118355245873\n"
+            "abs_error=0.00021211128411602331\nband_3se=0.0016442025901085284\nresult=PASS\n",
+        ),
     ],
-    ids=["fidelity", "fidelity-json", "bell-max", "chsh", "oracle"],
+    ids=["fidelity", "fidelity-json", "bell-max", "chsh", "oracle", "oracle-4-blocks"],
 )
-def test_single_result_stdout_is_pinned(capsys, argv, code, expected):
+def test_single_result_stdout_is_pinned(monkeypatch, capsys, argv, code, expected):
+    monkeypatch.setenv(ENV_WORKERS, "2")  # the 4-block oracle call runs on the thread pool
     assert run(capsys, *argv) == (code, expected, "")
+
+
+@pytest.mark.parametrize("raw", ["0", "zero"])
+def test_oracle_rejects_a_malformed_worker_count(monkeypatch, capsys, raw):
+    monkeypatch.setenv(ENV_WORKERS, raw)
+    threads = set(threading.enumerate())
+    code, out, err = run(capsys, "oracle", "--r", "0.5", "--eta", "0.9", "--samples", "200003", "--seed", "1")
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and ENV_WORKERS in err
+    assert set(threading.enumerate()) <= threads  # no thread started
+
+
+def test_one_block_oracle_and_sweeps_start_no_thread():
+    # A one-block oracle call runs inline, and sweeps only validate the worker count.
+    env = dict(os.environ, PYTHONPATH=str(Path(eprbell.__file__).resolve().parents[1]), EPRBELL_WORKERS="3")
+    code = (
+        "import contextlib, io, threading, eprbell.cli, eprbell.oracle\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [eprbell.cli.main(['oracle', '--r', '0.5', '--eta', '0.9', '--samples', '10000', '--seed', '1']),\n"
+        "             eprbell.cli.main(['fig4'])]\n"
+        "print(codes, threading.active_count(), eprbell.oracle._pool)"
+    )
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[0, 0] 1 None"
 
 
 def test_b_of_j_at_the_overflow_edge_warns_nothing(tmp_path, capsys):

@@ -11,6 +11,7 @@ from eprbell import (
     TwoModePoint,
     fidelity,
     make_state,
+    maximize_b,
     mu_opt,
     sample_epr,
     second_moments,
@@ -212,6 +213,25 @@ def test_mu_opt_matches_closed_form_grid():
             state = make_state(EprParams(float(r), float(eta)))
             closed = eta * math.sinh(2 * r) / ((1 - eta) + eta * math.cosh(2 * r))
             assert mu_opt(state) == pytest.approx(closed, abs=1e-12)
+
+
+@pytest.mark.parametrize("nbar", [0.0, 1e6])
+@pytest.mark.parametrize("eta", [0.01, 0.5, 1.0])
+@pytest.mark.parametrize("r", [1e-12, 1e-8, 1e-4, 0.5, 354.8])
+def test_mu_opt_and_j_star_match_mpmath(r, eta, nbar):
+    # sp - sm cancels the thermal term: at r = 1e-12, eta = 0.01, nbar = 1e6 it left mu_opt = 0
+    import mpmath
+
+    state = make_state(EprParams(r, eta, nbar))
+    with mpmath.workdps(50):
+        r_ref, eta_ref, nbar_ref = map(mpmath.mpf, (r, eta, nbar))
+        thermal = (1 - eta_ref) * (1 + 2 * nbar_ref)
+        sp = eta_ref * mpmath.exp(2 * r_ref) + thermal
+        sm = eta_ref * mpmath.exp(-2 * r_ref) + thermal
+        mu = (sp - sm) / (sp + sm)
+        j_star = mpmath.log1p(mu) * sm / (3 - sm / sp)
+        for got, ref in ((mu_opt(state), mu), (maximize_b(state).j_max, j_star)):
+            assert abs(got - ref) <= 4 * math.ulp(float(ref))
 
 
 def test_loss_ordering():

@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -14,7 +15,7 @@ from eprbell import (
     mc_fidelity,
     sample_epr,
 )
-from eprbell.oracle import BLOCK
+from eprbell.oracle import BLOCK, ENV_WORKERS
 
 LN2_HALF = math.log(2.0) / 2.0
 
@@ -150,6 +151,24 @@ def test_streamed_blocks_match_the_single_draw(samples):
     assert est.std_error == pytest.approx(se, rel=1e-6, abs=0.0)
 
 
+@pytest.mark.parametrize("samples", [2, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7])
+def test_results_are_bit_identical_for_any_worker_count(monkeypatch, samples):
+    s = state(0.8, 0.85, 0.1)
+    config = OracleConfig(samples=samples, seed=2**63 + 2**40 + 17)
+    results = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # hand the GIL between the block threads as often as possible
+    try:
+        for workers in (1, 2, 3):
+            monkeypatch.setenv(ENV_WORKERS, str(workers))
+            results.append((mc_fidelity(s, config), sample_epr(s, config)))
+    finally:
+        sys.setswitchinterval(interval)
+    for estimate, pts in results[1:]:
+        assert estimate == results[0][0]
+        np.testing.assert_array_equal(pts, results[0][1])
+
+
 @pytest.mark.parametrize("r", [0.0, 3.0, 8.0, 10.0, 15.0])
 def test_std_error_free_of_cancellation(r):
     # Var f = sm^2 / ((1+sm)^2 (1+2 sm)); a one-pass sum-of-squares variance
@@ -173,7 +192,9 @@ def test_mc_fidelity_passes_at_large_squeezing(r):
     assert abs(est.duan_sum_hat - duan_sum(s)) <= 0.05 * duan_sum(s)
 
 
-def test_mc_fidelity_memory_does_not_grow_with_samples():
+@pytest.mark.parametrize("workers", [1, 2])
+def test_mc_fidelity_memory_does_not_grow_with_samples(monkeypatch, workers):
+    monkeypatch.setenv(ENV_WORKERS, str(workers))
     s = state(0.6, 0.8, 0.2)
     mc_fidelity(s, OracleConfig(samples=2, seed=11))  # first call imports scipy.special
     tracemalloc.start()

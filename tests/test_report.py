@@ -249,6 +249,44 @@ def test_column_writers_match_the_per_cell_codec(name):
     assert table_to_jsonl(table) == _reference_jsonl(table)
 
 
+# The per-cell readers the column readers replaced, kept as the reference for their cells.
+def _reference_from_csv(text):
+    lines = [line for line in text.splitlines() if line]
+    parse = lambda cell: cell == "true" if cell in ("true", "false") else float(cell)
+    return Table(columns=tuple(lines[0].split(",")), rows=tuple(tuple(map(parse, line.split(","))) for line in lines[1:]))
+
+
+def _reference_from_jsonl(text):
+    objs = [json.loads(line) for line in text.splitlines() if line]
+    parse = lambda cell: float(cell) if isinstance(cell, str) else cell
+    return Table(columns=tuple(objs[0]), rows=tuple(tuple(parse(obj[name]) for name in objs[0]) for obj in objs))
+
+
+def _typed_cells(table):
+    """Each row's (type, repr) pairs: equal for equal cells, NaN and -0.0 included."""
+    return [[(type(cell), repr(cell)) for cell in row] for row in table.rows]
+
+
+@pytest.mark.parametrize("name", CODEC_TABLES)
+def test_column_readers_match_the_per_cell_readers(name):
+    table = CODEC_TABLES[name]()
+    codecs = [(table_to_csv, table_from_csv, _reference_from_csv)]
+    if table.rows:  # JSONL has no header line, so a table without rows does not round-trip
+        codecs.append((table_to_jsonl, table_from_jsonl, _reference_from_jsonl))
+    for write, read, reference in codecs:
+        text = write(table)
+        got, expected = read(text), reference(text)
+        assert got.columns == expected.columns == table.columns
+        assert _typed_cells(got) == _typed_cells(expected)
+
+
+def test_csv_reads_mixed_and_foreign_columns_cell_by_cell():
+    table = table_from_csv("a,b\ntrue,1\n0.5,false\n")
+    assert _typed_cells(table) == [[(bool, "True"), (float, "1.0")], [(float, "0.5"), (bool, "False")]]
+    with pytest.raises(ValueError):
+        table_from_csv("a\n1\nyes\n")
+
+
 def test_writers_reject_mixed_columns_and_ragged_rows():
     mixed = Table(columns=("a", "b"), rows=((0.5, True), (0.25, 1.0)))
     ragged = Table(columns=("a", "b"), rows=((0.5, 1.0), (0.25,)))
