@@ -192,8 +192,7 @@ def test_mc_fidelity_passes_at_large_squeezing(r):
     assert abs(est.duan_sum_hat - duan_sum(s)) <= 0.05 * duan_sum(s)
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_mc_fidelity_memory_does_not_grow_with_samples(monkeypatch, workers):
+def _mc_fidelity_peak_memory(monkeypatch, workers):
     monkeypatch.setenv(ENV_WORKERS, str(workers))
     s = state(0.6, 0.8, 0.2)
     mc_fidelity(s, OracleConfig(samples=2, seed=11))  # first call imports scipy.special
@@ -203,4 +202,14 @@ def test_mc_fidelity_memory_does_not_grow_with_samples(monkeypatch, workers):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return peak
+
+
+def test_mc_fidelity_memory_does_not_grow_with_samples(monkeypatch):
+    peak = _mc_fidelity_peak_memory(monkeypatch, workers=1)
     assert peak < 32 * 2**20  # the 2e6 samples alone take 64 MB as an (N, 4) array
+
+
+def test_mc_fidelity_memory_does_not_grow_with_threads(monkeypatch):
+    peak = _mc_fidelity_peak_memory(monkeypatch, workers=2)
+    assert peak < 32 * 2**20  # one block buffer per thread, not the whole draw
