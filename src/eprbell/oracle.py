@@ -32,9 +32,12 @@ at the number of blocks.  The integer draw, ndtri and the numpy
 reductions release the GIL, so blocks overlap.  Since a block depends
 only on its own index and the results are reduced in block order, the
 estimates and the samples are bit-identical for every worker count.  With
-one block or one worker, blocks run inline and no pool is made; the pool
-is made on first use and kept for the process.  Each thread reuses one
-block buffer, so memory is bounded by the workers times BLOCK.
+one worker, or fewer than _POOL_BLOCKS blocks, blocks run inline and no
+pool is made: such a call takes a few scheduler periods at most, so on a
+thread pool its latency would hinge on whether another CPU happens to be
+free at that moment.  The pool is made on first use and kept for the
+process.  Each thread reuses one block buffer, so memory is bounded by
+the workers times BLOCK.
 """
 
 from __future__ import annotations
@@ -51,6 +54,7 @@ from .epr_model import GaussianEprState
 __all__ = ["BLOCK", "ENV_WORKERS", "OracleConfig", "OracleEstimate", "sample_epr", "mc_fidelity"]
 
 BLOCK = 2**16
+_POOL_BLOCKS = 16  # a call of fewer blocks (~1e6 samples, ~0.1 s) runs inline
 ENV_WORKERS = "EPRBELL_WORKERS"
 
 
@@ -126,11 +130,11 @@ def _block(state: GaussianEprState, config: OracleConfig, factors, start: int) -
 
 def _map_blocks(fn, samples: int) -> list:
     """[fn(start) for each block start], in block order, run on the kept pool
-    when there is more than one block and more than one worker."""
+    when there are at least _POOL_BLOCKS blocks and more than one worker."""
     global _pool
     starts = range(0, samples, BLOCK)
     workers = _worker_count()  # a malformed EPRBELL_WORKERS is rejected before any block runs
-    if workers == 1 or len(starts) == 1:
+    if workers == 1 or len(starts) < _POOL_BLOCKS:
         return list(map(fn, starts))
     with _pool_lock:
         # A pool does not survive fork, hence the pid; a replaced pool's threads

@@ -322,7 +322,8 @@ def test_rejected_input_exits_2_with_one_error_line(tmp_path, capsys, argv, conf
     ids=["fidelity", "fidelity-json", "bell-max", "chsh", "oracle", "oracle-4-blocks"],
 )
 def test_single_result_stdout_is_pinned(monkeypatch, capsys, argv, code, expected):
-    monkeypatch.setenv(ENV_WORKERS, "2")  # the 4-block oracle call runs on the thread pool
+    monkeypatch.setenv(ENV_WORKERS, "2")
+    monkeypatch.setattr(eprbell.oracle, "_POOL_BLOCKS", 2)  # the 4-block oracle call runs on the thread pool
     assert run(capsys, *argv) == (code, expected, "")
 
 

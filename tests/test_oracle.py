@@ -15,6 +15,7 @@ from eprbell import (
     mc_fidelity,
     sample_epr,
 )
+from eprbell import oracle
 from eprbell.oracle import BLOCK, ENV_WORKERS
 
 LN2_HALF = math.log(2.0) / 2.0
@@ -155,6 +156,7 @@ def test_streamed_blocks_match_the_single_draw(samples):
 def test_results_are_bit_identical_for_any_worker_count(monkeypatch, samples):
     s = state(0.8, 0.85, 0.1)
     config = OracleConfig(samples=samples, seed=2**63 + 2**40 + 17)
+    monkeypatch.setattr(oracle, "_POOL_BLOCKS", 2)  # every multi-block call runs on the pool
     results = []
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # hand the GIL between the block threads as often as possible
@@ -167,6 +169,16 @@ def test_results_are_bit_identical_for_any_worker_count(monkeypatch, samples):
     for estimate, pts in results[1:]:
         assert estimate == results[0][0]
         np.testing.assert_array_equal(pts, results[0][1])
+
+
+def test_only_calls_of_many_blocks_use_the_pool(monkeypatch):
+    monkeypatch.setenv(ENV_WORKERS, "2")
+    monkeypatch.setattr(oracle, "_pool", None)
+    s = state(0.6, 0.8, 0.2)
+    mc_fidelity(s, OracleConfig(samples=(oracle._POOL_BLOCKS - 1) * BLOCK, seed=5))
+    assert oracle._pool is None
+    mc_fidelity(s, OracleConfig(samples=(oracle._POOL_BLOCKS - 1) * BLOCK + 1, seed=5))
+    assert oracle._pool[0] == 2
 
 
 @pytest.mark.parametrize("r", [0.0, 3.0, 8.0, 10.0, 15.0])
