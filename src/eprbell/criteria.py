@@ -128,12 +128,11 @@ def conditional_variances(state: GaussianEprState) -> tuple[float, float]:
     V = <x2^2> - <x1 x2>^2 / <x1^2>, equal for the x and p sectors and equal
     to the gain-mu error variances evaluated at the optimal gain.  With
     var = (sp + sm)/8 and cov = (sp - sm)/8 this is sp*sm / (2*(sp + sm)),
-    evaluated in that form because the difference cancels catastrophically
-    at large squeezing.
+    evaluated as sm / (2*(1 + sm/sp)): the difference cancels
+    catastrophically at large squeezing, and sp*sm overflows at large nbar.
     """
-    sp = state.sigma_plus_sq
     sm = state.sigma_minus_sq
-    cond = sp * sm / (2.0 * (sp + sm))
+    cond = sm / (2.0 * (1.0 + sm / state.sigma_plus_sq))
     return cond, cond
 
 

@@ -40,6 +40,7 @@ __all__ = [
 ]
 
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
+_NBAR_MAX = math.sqrt(sys.float_info.max) / 2.0
 
 
 @dataclass(frozen=True)
@@ -47,7 +48,8 @@ class EprParams:
     """Physical knobs: squeezing r >= 0, transmission eta in [0, 1], thermal nbar >= 0.
 
     r is bounded above by the float overflow edge 2r <= ln(DBL_MAX), beyond
-    which exp(2r) is not representable.
+    which exp(2r) is not representable, and nbar by sqrt(DBL_MAX)/2, beyond
+    which the products of the variances that the criteria report overflow.
     """
 
     r: float
@@ -70,8 +72,8 @@ class EprParams:
             raise ValueError(f"r must be <= {_LOG_FLOAT_MAX / 2.0} (exp(2r) overflows), got {self.r}")
         if not 0.0 <= self.eta <= 1.0:
             raise ValueError(f"eta must be in [0, 1], got {self.eta}")
-        if self.nbar < 0.0:
-            raise ValueError(f"nbar must be >= 0, got {self.nbar}")
+        if not 0.0 <= self.nbar <= _NBAR_MAX:
+            raise ValueError(f"nbar must be in [0, {_NBAR_MAX}], got {self.nbar}")
 
 
 @dataclass(frozen=True)

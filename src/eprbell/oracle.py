@@ -35,9 +35,9 @@ estimates and the samples are bit-identical for every worker count.  With
 one worker, or fewer than _POOL_BLOCKS blocks, blocks run inline and no
 pool is made: such a call takes a few scheduler periods at most, so on a
 thread pool its latency would hinge on whether another CPU happens to be
-free at that moment.  The pool is made on first use and kept for the
-process.  Each thread reuses one block buffer, so memory is bounded by
-the workers times BLOCK.
+free at that moment.  A longer call runs its own pool and joins it
+before it returns, so no thread outlives the call.  Each thread reuses
+one block buffer, so memory is bounded by the workers times BLOCK.
 """
 
 from __future__ import annotations
@@ -94,8 +94,6 @@ def _worker_count() -> int:
 
 
 _thread = threading.local()  # .buf: this thread's (4, BLOCK) block buffer
-_pool_lock = threading.Lock()
-_pool = None  # (workers, pid, executor) of the kept pool
 
 
 def _block(state: GaussianEprState, config: OracleConfig, factors, start: int) -> np.ndarray:
@@ -129,24 +127,16 @@ def _block(state: GaussianEprState, config: OracleConfig, factors, start: int) -
 
 
 def _map_blocks(fn, samples: int) -> list:
-    """[fn(start) for each block start], in block order, run on the kept pool
-    when there are at least _POOL_BLOCKS blocks and more than one worker."""
-    global _pool
+    """[fn(start) for each block start], in block order, run on a pool of its
+    own when there are at least _POOL_BLOCKS blocks and more than one worker."""
     starts = range(0, samples, BLOCK)
     workers = _worker_count()  # a malformed EPRBELL_WORKERS is rejected before any block runs
     if workers == 1 or len(starts) < _POOL_BLOCKS:
         return list(map(fn, starts))
-    with _pool_lock:
-        # A pool does not survive fork, hence the pid; a replaced pool's threads
-        # exit once its last caller drops it.
-        if _pool is None or _pool[:2] != (workers, os.getpid()):
-            from concurrent.futures import ThreadPoolExecutor
+    from concurrent.futures import ThreadPoolExecutor
 
-            _pool = (workers, os.getpid(), ThreadPoolExecutor(workers))
-        executor = _pool[2]
-    # The executor starts a thread per queued block only while none is idle,
-    # so it runs at most min(workers, blocks) threads.
-    return list(executor.map(fn, starts))
+    with ThreadPoolExecutor(min(workers, len(starts))) as executor:
+        return list(executor.map(fn, starts))
 
 
 def sample_epr(state: GaussianEprState, config: OracleConfig) -> np.ndarray:

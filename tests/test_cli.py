@@ -265,12 +265,15 @@ def test_shared_config_accepted_by_every_figure(tmp_path, capsys, figure):
         (("fig1",), {"r_list": "abc"}, "'r_list'"),
         (("fig2",), {"j_count": 5.0}, "'j_count'"),
         (("chsh", "--visibility", "0.9", "--theta", "nan"), None, "theta"),
+        (("fidelity", "--r", "0", "--eta", "0.5", "--nbar", "1e308"), None, "nbar "),
+        (("fig1", "--nbar", "1e308", "--etas", "0.5"), None, "nbar "),
     ],
     ids=[
         "fidelity-overflow-r", "fig1-overflow-r_max", "fig2-empty-etas", "fig2-empty-eta_list",
         "fig1-scalar-eta_list", "fig2-scalar-eta_list", "fig1-null-eta_list", "fig2-null-eta_list",
         "fig3-unknown-key", "fig2-unknown-key", "fig1-fractional-r_count", "fig4-boolean-eta",
-        "fig1-string-r_list", "fig2-float-j_count", "chsh-nan-theta",
+        "fig1-string-r_list", "fig2-float-j_count", "chsh-nan-theta", "fidelity-huge-nbar",
+        "fig1-huge-nbar",
     ],
 )
 def test_rejected_input_exits_2_with_one_error_line(tmp_path, capsys, argv, config, names):
@@ -341,14 +344,17 @@ def test_one_block_oracle_and_sweeps_start_no_thread():
     # A one-block oracle call runs inline, and sweeps only validate the worker count.
     env = dict(os.environ, PYTHONPATH=str(Path(eprbell.__file__).resolve().parents[1]), EPRBELL_WORKERS="3")
     code = (
-        "import contextlib, io, threading, eprbell.cli, eprbell.oracle\n"
+        "import contextlib, io, threading, eprbell.cli\n"
+        "started = []\n"
+        "start = threading.Thread.start\n"
+        "threading.Thread.start = lambda thread: started.append(thread) or start(thread)\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    codes = [eprbell.cli.main(['oracle', '--r', '0.5', '--eta', '0.9', '--samples', '10000', '--seed', '1']),\n"
         "             eprbell.cli.main(['fig4'])]\n"
-        "print(codes, threading.active_count(), eprbell.oracle._pool)"
+        "print(codes, len(started))"
     )
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert done.stdout.strip() == "[0, 0] 1 None"
+    assert done.stdout.strip() == "[0, 0] 0"
 
 
 def test_b_of_j_at_the_overflow_edge_warns_nothing(tmp_path, capsys):

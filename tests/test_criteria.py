@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -150,6 +151,35 @@ def test_conditional_variances_equal_optimal_mu_variances():
             dx, dp = mu_variances(s, mu_opt(s))
             assert cx == pytest.approx(dx, abs=1e-12)
             assert cp == pytest.approx(dp, abs=1e-12)
+
+
+@pytest.mark.parametrize("nbar", [0.0, 1.0, 1e10, math.sqrt(sys.float_info.max) / 2.0])
+@pytest.mark.parametrize("eta", [0.0, 0.01, 0.5, 1.0])
+@pytest.mark.parametrize("r", [0.0, 1e-8, 0.5, 20.0, 354.0, 354.89])
+def test_conditional_variances_match_mpmath(r, eta, nbar):
+    # sp*sm overflowed: r = 354, eta = 0.5, nbar = 1e10 gave inf, not 5000000000.25
+    import mpmath
+
+    cx, cp = conditional_variances(state(r, eta, nbar))
+    with mpmath.workdps(50):
+        r_ref, eta_ref, nbar_ref = map(mpmath.mpf, (r, eta, nbar))
+        thermal = (1 - eta_ref) * (1 + 2 * nbar_ref)
+        sp = eta_ref * mpmath.exp(2 * r_ref) + thermal
+        sm = eta_ref * mpmath.exp(-2 * r_ref) + thermal
+        ref = float(sp * sm / (2 * (sp + sm)))
+    assert cx == cp
+    assert abs(cx - ref) <= 4 * math.ulp(ref)
+
+
+@pytest.mark.parametrize("nbar", [0.0, 1.0, math.sqrt(sys.float_info.max) / 2.0])
+@pytest.mark.parametrize("eta", [0.0, 0.3, 0.5, 1.0 - 2.0**-53, 1.0])
+@pytest.mark.parametrize("r", [0.0, 354.0, math.log(sys.float_info.max) / 2.0])
+def test_classify_is_finite_on_the_corners_of_the_domain(r, eta, nbar):
+    rep = classify(state(r, eta, nbar))
+    for field in dataclasses.fields(rep):
+        if field.name != "nbar_threshold":
+            assert math.isfinite(getattr(rep, field.name)), field.name
+    assert math.isfinite(rep.nbar_threshold) or eta == 1.0
 
 
 def test_classify_three_db_lossless():

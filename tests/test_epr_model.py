@@ -67,6 +67,7 @@ def test_eta_one_ignores_nbar():
         (dict(r=1.0, eta=0.5, nbar=-1.0), "nbar"),
         (dict(r=1.0, eta=0.5, nbar=math.nan), "nbar"),
         (dict(r=400.0, eta=0.9), "r"),
+        (dict(r=1.0, eta=0.5, nbar=1e300), "nbar"),
     ],
 )
 def test_params_validation_names_field(kwargs, field):
@@ -83,6 +84,13 @@ def test_overflow_edge_is_the_largest_accepted_r():
     for eta in (0.9, 1.0):
         result = fidelity(make_state(EprParams(r=354.0, eta=eta)))
         assert math.isfinite(result.fidelity) and result.beats_classical
+
+
+def test_nbar_bound_is_the_largest_accepted_nbar():
+    bound = math.sqrt(sys.float_info.max) / 2.0
+    assert EprParams(r=0.0, eta=0.0, nbar=bound).nbar == bound
+    with pytest.raises(ValueError, match="nbar"):
+        EprParams(r=0.0, eta=0.0, nbar=math.nextafter(bound, math.inf))
 
 
 def test_point_validation():

@@ -1,5 +1,6 @@
 import math
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -173,12 +174,14 @@ def test_results_are_bit_identical_for_any_worker_count(monkeypatch, samples):
 
 def test_only_calls_of_many_blocks_use_the_pool(monkeypatch):
     monkeypatch.setenv(ENV_WORKERS, "2")
-    monkeypatch.setattr(oracle, "_pool", None)
+    started = []
+    start = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start", lambda thread: started.append(thread) or start(thread))
     s = state(0.6, 0.8, 0.2)
     mc_fidelity(s, OracleConfig(samples=(oracle._POOL_BLOCKS - 1) * BLOCK, seed=5))
-    assert oracle._pool is None
+    assert started == []
     mc_fidelity(s, OracleConfig(samples=(oracle._POOL_BLOCKS - 1) * BLOCK + 1, seed=5))
-    assert oracle._pool[0] == 2
+    assert len(started) == 2  # min(workers, blocks); the second starts long before the first block ends
 
 
 @pytest.mark.parametrize("r", [0.0, 3.0, 8.0, 10.0, 15.0])
