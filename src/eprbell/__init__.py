@@ -8,7 +8,6 @@ from .bell import (
     loss_bound_ok,
     maximize_b,
     optimize_scaled_chsh,
-    pi_corr,
     scaled_chsh,
 )
 from .criteria import (
@@ -20,18 +19,8 @@ from .criteria import (
     mu_variances,
     nbar_threshold,
 )
-from .epr_model import (
-    EprParams,
-    GaussianEprState,
-    SecondMoments,
-    TwoModePoint,
-    make_state,
-    mu_opt,
-    second_moments,
-    sigma_pair,
-    wigner,
-)
-from .oracle import OracleConfig, OracleEstimate, mc_fidelity, sample_epr
+from .epr_model import EprParams, GaussianEprState, make_state, mu_opt, sigma_pair
+from .oracle import OracleConfig, OracleEstimate, mc_fidelity
 from .report import (
     SweepSpec,
     Table,

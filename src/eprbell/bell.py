@@ -8,14 +8,15 @@ density, Pi = (pi^2/4) W, and the four-point combination
            - Pi(sqrt(J),0;-sqrt(J),0)
 
 obeys |B| <= 2 under any local theory.  The library evaluates B in its
-reduced closed form (see :func:`b_of_j`); this four-term definition is the
-reference the tests compare against.  The displacement pattern is fixed
-to this one-parameter family on purpose; no search over general
-displacement quadruples is attempted.  The second route is the scaled
-coincidence correlation E(phi1, phi2) = V*cos(phi1 - phi2 + theta) of a
-polarization-style CHSH measurement, where the visibility V absorbs
-losses and |S| <= 2*sqrt(2)*V at the optimal analyzer angles (subject to
-the usual fair-sampling caveat at low detection efficiency).
+reduced closed form (see :func:`b_of_j`); Pi and this four-term definition
+live in ``tests/reference.py``, the reference the tests compare against.
+The displacement pattern is fixed to this one-parameter family on
+purpose; no search over general displacement quadruples is attempted.
+The second route is the scaled coincidence correlation
+E(phi1, phi2) = V*cos(phi1 - phi2 + theta) of a polarization-style CHSH
+measurement, where the visibility V absorbs losses and
+|S| <= 2*sqrt(2)*V at the optimal analyzer angles (subject to the usual
+fair-sampling caveat at low detection efficiency).
 """
 
 from __future__ import annotations
@@ -25,12 +26,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .epr_model import EprParams, GaussianEprState, TwoModePoint, _mu_opt, wigner
+from .epr_model import EprParams, GaussianEprState, _mu_opt
 
 __all__ = [
     "BellResult",
     "ScaledChsh",
-    "pi_corr",
     "b_of_j",
     "maximize_b",
     "loss_bound_ok",
@@ -54,12 +54,6 @@ class ScaledChsh:
     m_scale: float  # overall coincidence scale; recorded, never enters S
 
 
-def pi_corr(state: GaussianEprState, pt: TwoModePoint):
-    """Displaced-parity correlation Pi = (pi^2/4) * wigner; equals 1 at the
-    origin for the lossless state and 1/(sp*sm) in general."""
-    return (math.pi**2 / 4.0) * wigner(state, pt)
-
-
 def _b(sp, sm, j):
     """The reduced form of B(J) (see :func:`b_of_j`) for floats or broadcast-compatible arrays."""
     # With sm subnormal (r at its overflow edge) an exponent can overflow to -inf; exp(-inf) = 0 is exact.
@@ -69,7 +63,11 @@ def _b(sp, sm, j):
 
 def _bell_max(r, eta, sp, sm):
     """(J*, B(J*), B(J*) > 2) of :func:`maximize_b` for floats or broadcast-compatible arrays."""
-    j = np.log1p(_mu_opt(r, eta, sp, sm)) * sm / (3.0 - sm / sp)
+    mu = _mu_opt(r, eta, sp, sm)
+    # A subnormal mu has lost digits that the factor sm (up to ~1e154) would
+    # scale back into range; there log1p(mu) = mu, so mu*sm is formed directly.
+    mu_sm = 2.0 * eta * np.sinh(2.0 * r) * (sm / (sp + sm))
+    j = np.where(mu < np.finfo(float).tiny, mu_sm, np.log1p(mu) * sm) / (3.0 - sm / sp)
     b = _b(sp, sm, j)
     return j, b, b > 2.0
 
@@ -95,8 +93,8 @@ def b_of_j(state: GaussianEprState, j):
 
         B(J) = [1 + 2*exp(-a*J) - exp(-b*J)] / (sp*sm),  a = 1/sp + 1/sm,  b = 4/sm.
 
-    The tests keep the four-term sum of :func:`pi_corr` values as the
-    independent reference.  Accepts a scalar or array of nonnegative J values.
+    The four-term sum in ``tests/reference.py`` is the independent
+    reference.  Accepts a scalar or array of nonnegative J values.
     """
     b = _b(state.sigma_plus_sq, state.sigma_minus_sq, _displacements(j))
     return float(b) if b.ndim == 0 else b

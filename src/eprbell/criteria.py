@@ -140,15 +140,19 @@ def classify(state: GaussianEprState, mu: float | None = None) -> CriteriaReport
     """Evaluate every boundary predicate for one state.
 
     ``mu`` defaults to the optimal estimator gain.  The conditional
-    variances always refer to optimal inference regardless of ``mu``.
+    variances always refer to optimal inference regardless of ``mu``.  At
+    the optimal gain they are also the gain-mu error variances, and are
+    reported as such: :func:`mu_variances` would scale the rounding error
+    of mu by sp, which at large r outgrows the variances themselves.
     """
+    params = state.params
+    d_sum = duan_sum(state)
+    cond_x, cond_p = conditional_variances(state)
     if mu is None:
         mu = mu_opt(state)
-    params = state.params
-
-    d_sum = duan_sum(state)
-    dx_mu_sq, dp_mu_sq = mu_variances(state, mu)
-    cond_x, cond_p = conditional_variances(state)
+        dx_mu_sq, dp_mu_sq = cond_x, cond_p
+    else:
+        dx_mu_sq, dp_mu_sq = mu_variances(state, mu)
     gg_product = dx_mu_sq * dp_mu_sq
     gg_sum = dx_mu_sq + dp_mu_sq
 

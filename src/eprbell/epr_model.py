@@ -17,6 +17,9 @@ vacuum has Var(x) = Var(p) = 1/4 per mode; every threshold downstream
 
 The beam splitters are never materialized as a channel: the traced-out
 result above is the only state ever needed, so construction bakes it in.
+Every library output is a closed form of the variance pair; the Wigner
+density and the second moments, which the tests check those closed forms
+against, live in ``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -30,12 +33,8 @@ import numpy as np
 __all__ = [
     "EprParams",
     "GaussianEprState",
-    "TwoModePoint",
-    "SecondMoments",
     "make_state",
     "sigma_pair",
-    "wigner",
-    "second_moments",
     "mu_opt",
 ]
 
@@ -98,36 +97,6 @@ class GaussianEprState:
             raise ValueError("sigma_plus_sq must be >= sigma_minus_sq for r >= 0")
 
 
-@dataclass(frozen=True)
-class TwoModePoint:
-    """Phase-space point (x1, p1, x2, p2); alpha_j = x_j + i*p_j.
-
-    Coordinates may be scalars or broadcast-compatible arrays, which lets a
-    single point object describe a whole batch of evaluation points.
-    """
-
-    x1: object
-    p1: object
-    x2: object
-    p2: object
-
-    def __post_init__(self):
-        for name in ("x1", "p1", "x2", "p2"):
-            value = np.asarray(getattr(self, name), dtype=float)
-            if not np.all(np.isfinite(value)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
-
-
-@dataclass(frozen=True)
-class SecondMoments:
-    """Per-mode variances and cross-mode covariances of the zero-mean state."""
-
-    var_x: float
-    var_p: float
-    cov_xx: float
-    cov_pp: float
-
-
 def sigma_pair(r, eta, nbar):
     """(sigma_plus_sq, sigma_minus_sq) of the module docstring for floats or
     broadcast-compatible arrays of already validated knobs."""
@@ -145,44 +114,18 @@ def make_state(params: EprParams) -> GaussianEprState:
     return GaussianEprState(float(sigma_plus_sq), float(sigma_minus_sq), params)
 
 
-def wigner(state: GaussianEprState, pt: TwoModePoint):
-    """Wigner density of the state at a phase-space point (strictly positive).
-
-    W = (4/pi^2) / (sp*sm) * exp(-[(x1+x2)^2+(p1-p2)^2]/sp
-                                 -[(x1-x2)^2+(p1+p2)^2]/sm)
-
-    with sp = sigma_plus_sq and sm = sigma_minus_sq.  Integrates to 1 over
-    the four coordinates.  Returns an array when the point holds arrays.
-    """
-    sp = state.sigma_plus_sq
-    sm = state.sigma_minus_sq
-    q_plus = (pt.x1 + pt.x2) ** 2 + (pt.p1 - pt.p2) ** 2
-    q_minus = (pt.x1 - pt.x2) ** 2 + (pt.p1 + pt.p2) ** 2
-    return (4.0 / math.pi**2) / (sp * sm) * np.exp(-q_plus / sp - q_minus / sm)
-
-
-def second_moments(state: GaussianEprState) -> SecondMoments:
-    """Symmetric second moments: per-mode variance and x/p cross covariances.
-
-    var_x = var_p = (sp + sm)/8 and cov_xx = -cov_pp = (sp - sm)/8, which at
-    eta = 1, nbar = 0 gives cosh(2r)/4 and sinh(2r)/4.
-    """
-    var = (state.sigma_plus_sq + state.sigma_minus_sq) / 8.0
-    cov = (state.sigma_plus_sq - state.sigma_minus_sq) / 8.0
-    return SecondMoments(var_x=var, var_p=var, cov_xx=cov, cov_pp=-cov)
-
-
 def _mu_opt(r, eta, sp, sm):
     """:func:`mu_opt` for floats or broadcast-compatible arrays, with sp - sm
     written as 2*eta*sinh(2r): the difference cancels the thermal term, and
-    at small r every digit with it."""
-    return 2.0 * eta * np.sinh(2.0 * r) / (sp + sm)
+    at small r every digit with it.  Where the true gain is within an ulp of
+    1 the quotient can round above it, so it is capped at 1."""
+    return np.minimum(2.0 * eta * np.sinh(2.0 * r) / (sp + sm), 1.0)
 
 
 def mu_opt(state: GaussianEprState) -> float:
     """Optimal linear-estimator gain <x1 x2>/<x2^2> = (sp - sm)/(sp + sm).
 
-    Lies in [0, 1) for r >= 0 and tends to 1 as the correlations become
+    Lies in [0, 1] for r >= 0 and tends to 1 as the correlations become
     perfect (r >> 1 at eta = 1).
     """
     p = state.params

@@ -1,11 +1,12 @@
-"""Monte-Carlo verification of the analytic fidelity and moments.
+"""Monte-Carlo verification of the analytic fidelity.
 
 The Wigner density of this state family is a genuine probability density,
 so quadratures can be sampled directly: the combinations (x1+x2, p1-p2)
 are i.i.d. zero-mean Gaussians of variance sigma_plus_sq/2 and
-(x1-x2, p1+p2) of variance sigma_minus_sq/2.  sample_epr solves the
-linear pairs for the per-mode coordinates; mc_fidelity needs only the two
-noise combinations (x1-x2, p1+p2) and draws just those.
+(x1-x2, p1+p2) of variance sigma_minus_sq/2.  mc_fidelity needs only the
+two noise combinations (x1-x2, p1+p2) and draws just those; the per-mode
+sampler that solves all four pairs for (x1, p1, x2, p2) lives in
+``tests/reference.py``.
 
 Reproducibility contract: all variates are produced by applying the
 inverse normal CDF to 53-bit uniforms drawn from a PCG64 stream seeded
@@ -16,9 +17,9 @@ the order x1+x2, x1-x2, p1-p2, p1+p2) sits at stream position f*N + i:
 the variates equal those of the single draw
 ``default_rng(seed).integers(0, 2**53, (4, N), uint64)``.  Sampling and
 reduction run over fixed blocks of BLOCK samples, and each block is
-computed on its own: every factor gets a fresh PCG64(seed) jumped ahead
-to f*N + start with PCG64.advance, so memory does not grow with N.  BLOCK
-is part of the contract, not a tuning knob: the mean estimates are
+computed on its own: each factor drawn gets a fresh PCG64(seed) jumped
+ahead to f*N + start with PCG64.advance, so memory does not grow with N.
+BLOCK is part of the contract, not a tuning knob: the mean estimates are
 math.fsum of the per-block sums over N (exactly rounded), and the
 variance combines each block's two-pass (count, mean, M2) in block order
 with the pairwise update of Chan, Golub & LeVeque (1979).  A fixed
@@ -31,11 +32,11 @@ Worker mode: blocks run on a thread pool of EPRBELL_WORKERS threads
 at the number of blocks.  The integer draw, ndtri and the numpy
 reductions release the GIL, so blocks overlap.  Since a block depends
 only on its own index and the results are reduced in block order, the
-estimates and the samples are bit-identical for every worker count.  With
-one worker, or fewer than _POOL_BLOCKS blocks, blocks run inline and no
-pool is made: such a call takes a few scheduler periods at most, so on a
-thread pool its latency would hinge on whether another CPU happens to be
-free at that moment.  A longer call runs its own pool and joins it
+estimates are bit-identical for every worker count.  With one worker,
+or fewer than _POOL_BLOCKS blocks, blocks run inline and no pool is
+made: such a call takes a few scheduler periods at most, so on a thread
+pool its latency would hinge on whether another CPU happens to be free
+at that moment.  A longer call runs its own pool and joins it
 before it returns, so no thread outlives the call.  Each thread reuses
 one block buffer, so memory is bounded by the workers times BLOCK.
 """
@@ -51,7 +52,7 @@ import numpy as np
 
 from .epr_model import GaussianEprState
 
-__all__ = ["BLOCK", "ENV_WORKERS", "OracleConfig", "OracleEstimate", "sample_epr", "mc_fidelity"]
+__all__ = ["BLOCK", "ENV_WORKERS", "OracleConfig", "OracleEstimate", "mc_fidelity"]
 
 BLOCK = 2**16
 _POOL_BLOCKS = 16  # a call of fewer blocks (~1e6 samples, ~0.1 s) runs inline
@@ -93,12 +94,12 @@ def _worker_count() -> int:
     return count
 
 
-_thread = threading.local()  # .buf: this thread's (4, BLOCK) block buffer
+_thread = threading.local()  # .buf: this thread's (2, BLOCK) block buffer
 
 
-def _block(state: GaussianEprState, config: OracleConfig, factors, start: int) -> np.ndarray:
-    """The requested stream factors of block start // BLOCK, scaled to their
-    variances: a (len(factors), n) view of this thread's buffer.
+def _block(state: GaussianEprState, config: OracleConfig, start: int) -> np.ndarray:
+    """Noise factors 1 and 3 (x1 - x2, p1 + p2) of block start // BLOCK, each
+    scaled to variance sigma_minus_sq/2: a (2, n) view of this thread's buffer.
 
     This is the only place that knows the stream layout (see the module
     docstring).  The thread's next block overwrites the view, so consume it
@@ -109,11 +110,9 @@ def _block(state: GaussianEprState, config: OracleConfig, factors, start: int) -
     from scipy.special import ndtri
 
     if getattr(_thread, "buf", None) is None:
-        # Rows a caller never writes are never touched, so they take no memory.
-        _thread.buf = np.empty((4, BLOCK))
-    sigma_sq = (state.sigma_plus_sq, state.sigma_minus_sq)  # even factors, odd factors
-    z = _thread.buf[:len(factors), :min(BLOCK, config.samples - start)]
-    for f, row in zip(factors, z):
+        _thread.buf = np.empty((2, BLOCK))
+    z = _thread.buf[:, :min(BLOCK, config.samples - start)]
+    for f, row in zip((1, 3), z):
         bit_generator = np.random.PCG64(config.seed)
         bit_generator.advance(f * config.samples + start)
         # Generator.random takes one 64-bit draw x per value and returns k / 2**53 with
@@ -122,7 +121,7 @@ def _block(state: GaussianEprState, config: OracleConfig, factors, start: int) -
         np.random.Generator(bit_generator).random(out=row)
         row += 2.0**-54
         ndtri(row, out=row)
-        row *= math.sqrt(sigma_sq[f % 2] / 2.0)
+        row *= math.sqrt(state.sigma_minus_sq / 2.0)
     return z
 
 
@@ -139,29 +138,10 @@ def _map_blocks(fn, samples: int) -> list:
         return list(executor.map(fn, starts))
 
 
-def sample_epr(state: GaussianEprState, config: OracleConfig) -> np.ndarray:
-    """Draw quadrature samples from the state; returns an (N, 4) array of
-    (x1, p1, x2, p2) rows.
-
-    The four Gaussian factors are drawn in the fixed order
-    (x1+x2, x1-x2, p1-p2, p1+p2) so the stream layout is part of the
-    reproducibility contract; the modes are then solved from the pairs.
-    """
-    out = np.empty((config.samples, 4))
-
-    def fill(start):
-        sum_x, diff_x, diff_p, sum_p = _block(state, config, range(4), start)
-        modes = (sum_x + diff_x, sum_p + diff_p, sum_x - diff_x, sum_p - diff_p)  # 2*(x1, p1, x2, p2)
-        out[start:start + len(sum_x)] = np.stack(modes, axis=1) / 2.0
-
-    _map_blocks(fill, config.samples)
-    return out
-
-
 def _fidelity_block(state: GaussianEprState, config: OracleConfig, start: int):
     """(n, sum f, sum noise_sq, mean f, M2 of f) of one block, computed in
     place in the block buffer; np.square is bit-identical to x**2."""
-    diff_x, sum_p = _block(state, config, (1, 3), start)
+    diff_x, sum_p = _block(state, config, start)
     noise_sq = np.square(diff_x, out=diff_x)
     noise_sq += np.square(sum_p, out=sum_p)
     noise_sum = float(np.sum(noise_sq))

@@ -13,7 +13,6 @@ import pytest
 from eprbell import (
     EprParams,
     OracleConfig,
-    TwoModePoint,
     b_of_j,
     conditional_variances,
     duan_sum,
@@ -29,7 +28,6 @@ from eprbell import (
     mu_variances,
     nbar_threshold,
     optimize_scaled_chsh,
-    pi_corr,
     scaled_chsh,
     table_to_csv,
 )
@@ -41,6 +39,7 @@ from eprbell.report import (
     default_fig3_spec,
     default_fig4_spec,
 )
+from reference import b_four_term
 
 LN2_HALF = math.log(2.0) / 2.0
 
@@ -124,14 +123,7 @@ def test_criterion_05_bell_closed_form_equivalence():
             float(rng.uniform(0.0, 1.0)),
         )
         j = float(rng.uniform(0.0, 10.0))
-        root = math.sqrt(j)
-        four_term = (
-            pi_corr(s, TwoModePoint(0.0, 0.0, 0.0, 0.0))
-            + pi_corr(s, TwoModePoint(root, 0.0, 0.0, 0.0))
-            + pi_corr(s, TwoModePoint(0.0, 0.0, -root, 0.0))
-            - pi_corr(s, TwoModePoint(root, 0.0, -root, 0.0))
-        )
-        assert abs(b_of_j(s, j) - four_term) <= 1e-12
+        assert abs(b_of_j(s, j) - b_four_term(s, j)) <= 1e-12
     done(5, "closed form equals the four-point combination")
 
 

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from eprbell import (
     EprParams,
-    TwoModePoint,
     b_of_j,
     duan_sum,
     fidelity,
@@ -14,10 +13,9 @@ from eprbell import (
     make_state,
     maximize_b,
     optimize_scaled_chsh,
-    pi_corr,
     scaled_chsh,
-    wigner,
 )
+from reference import b_four_term, pi_corr, wigner
 
 LN2_HALF = math.log(2.0) / 2.0
 RT2 = math.sqrt(2.0)
@@ -34,33 +32,21 @@ def pi_reference(s, x1, p1, x2, p2):
     return math.exp(exponent) / (sp * sm)
 
 
-def b_four_term(s, j):
-    # the defining four-point combination of displaced-parity correlations,
-    # the reference for the reduced form that b_of_j evaluates
-    root = math.sqrt(j)
-    return (
-        pi_corr(s, TwoModePoint(0.0, 0.0, 0.0, 0.0))
-        + pi_corr(s, TwoModePoint(root, 0.0, 0.0, 0.0))
-        + pi_corr(s, TwoModePoint(0.0, 0.0, -root, 0.0))
-        - pi_corr(s, TwoModePoint(root, 0.0, -root, 0.0))
-    )
-
-
 def test_pi_origin_lossless_is_one():
     for r in (0.0, 0.3, 1.7):
-        assert pi_corr(state(r, 1.0), TwoModePoint(0, 0, 0, 0)) == pytest.approx(1.0, abs=1e-15)
+        assert pi_corr(state(r, 1.0), 0, 0, 0, 0) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_pi_origin_general():
     s = state(0.9, 0.75, 0.3)
     expected = 1.0 / (s.sigma_plus_sq * s.sigma_minus_sq)
-    assert pi_corr(s, TwoModePoint(0, 0, 0, 0)) == pytest.approx(expected, rel=1e-14)
+    assert pi_corr(s, 0, 0, 0, 0) == pytest.approx(expected, rel=1e-14)
 
 
 def test_pi_vacuum_displacement():
     s = state(0.0, 1.0)
     for j in (0.0, 0.2, 1.5):
-        got = pi_corr(s, TwoModePoint(math.sqrt(j), 0, 0, 0))
+        got = pi_corr(s, math.sqrt(j), 0, 0, 0)
         assert got == pytest.approx(math.exp(-2.0 * j), rel=1e-13)
 
 
@@ -73,14 +59,14 @@ def test_pi_is_scaled_wigner_and_matches_reference():
     coords = rng.uniform(-3.0, 3.0, (n, 4))
     for i in range(0, n, 20_000):  # spot-check states one by one, vectorize the rest below
         s = state(r[i], eta[i], nbar[i])
-        pt = TwoModePoint(*coords[i])
-        assert pi_corr(s, pt) == pytest.approx((math.pi**2 / 4.0) * wigner(s, pt), rel=1e-15)
-        assert pi_corr(s, pt) == pytest.approx(pi_reference(s, *coords[i]), rel=1e-12)
+        pt = coords[i]
+        assert pi_corr(s, *pt) == pytest.approx((math.pi**2 / 4.0) * wigner(s, *pt), rel=1e-15)
+        assert pi_corr(s, *pt) == pytest.approx(pi_reference(s, *pt), rel=1e-12)
     # one state, vectorized over all the points
     s = state(0.8, 0.9, 0.2)
-    pt = TwoModePoint(coords[:, 0], coords[:, 1], coords[:, 2], coords[:, 3])
-    got = pi_corr(s, pt)
-    want = (math.pi**2 / 4.0) * wigner(s, pt)
+    pt = coords.T
+    got = pi_corr(s, *pt)
+    want = (math.pi**2 / 4.0) * wigner(s, *pt)
     np.testing.assert_allclose(got, want, rtol=1e-15)
     ref = np.array([pi_reference(s, *row) for row in coords[:2000]])
     np.testing.assert_allclose(got[:2000], ref, rtol=1e-12)
@@ -116,7 +102,7 @@ def test_b_rejects_bad_displacement():
         b_of_j(state(0.5, 0.9), math.nan)
 
 
-@settings(deadline=None, max_examples=150)
+@settings(max_examples=150)
 @given(
     st.floats(0.0, 3.0),
     st.floats(0.05, 1.0),
@@ -241,7 +227,7 @@ def test_scaled_chsh_rejects_non_finite_theta():
             optimize_scaled_chsh(0.9, theta)
 
 
-@settings(deadline=None, max_examples=200)
+@settings(max_examples=200)
 @given(
     st.floats(0.0, 1.0),
     st.floats(-math.pi, math.pi),

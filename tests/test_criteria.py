@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import operator
 import sys
 
 import numpy as np
@@ -16,12 +17,13 @@ from eprbell import (
     duan_sum,
     fidelity,
     make_state,
+    maximize_b,
     mu_opt,
     mu_variances,
     nbar_threshold,
-    second_moments,
 )
 from eprbell.cli import main
+from reference import exact, second_moments
 
 LN2_HALF = math.log(2.0) / 2.0
 
@@ -71,12 +73,8 @@ def test_nbar_threshold_values():
 @pytest.mark.parametrize("eta", [0.01, 0.5, 0.99])
 @pytest.mark.parametrize("r", [1e-12, 1e-8, 1e-4, 0.5, 354.8])
 def test_nbar_threshold_matches_mpmath(r, eta):
-    import mpmath
-
-    with mpmath.workdps(50):
-        r_ref, eta_ref = mpmath.mpf(r), mpmath.mpf(eta)
-        ref = eta_ref * (1 - mpmath.exp(-2 * r_ref)) / (2 * (1 - eta_ref))
-        assert abs(nbar_threshold(r, eta) - ref) <= 4.5e-16 * ref
+    ref = exact(r, eta, 0.0).nbar_threshold
+    assert abs(nbar_threshold(r, eta) - ref) <= 4.5e-16 * ref
 
 
 def test_nbar_threshold_validation():
@@ -114,7 +112,7 @@ def test_mu_variances_vacuum():
     assert (dx1, dp1) == (0.5, 0.5)
 
 
-@settings(deadline=None, max_examples=80)
+@settings(max_examples=80)
 @given(params_st, st.floats(-2.0, 2.0))
 def test_mu_variances_positive_and_match_moment_form(params, mu):
     s = make_state(params)
@@ -158,15 +156,8 @@ def test_conditional_variances_equal_optimal_mu_variances():
 @pytest.mark.parametrize("r", [0.0, 1e-8, 0.5, 20.0, 354.0, 354.89])
 def test_conditional_variances_match_mpmath(r, eta, nbar):
     # sp*sm overflowed: r = 354, eta = 0.5, nbar = 1e10 gave inf, not 5000000000.25
-    import mpmath
-
     cx, cp = conditional_variances(state(r, eta, nbar))
-    with mpmath.workdps(50):
-        r_ref, eta_ref, nbar_ref = map(mpmath.mpf, (r, eta, nbar))
-        thermal = (1 - eta_ref) * (1 + 2 * nbar_ref)
-        sp = eta_ref * mpmath.exp(2 * r_ref) + thermal
-        sm = eta_ref * mpmath.exp(-2 * r_ref) + thermal
-        ref = float(sp * sm / (2 * (sp + sm)))
+    ref = float(exact(r, eta, nbar).cond)
     assert cx == cp
     assert abs(cx - ref) <= 4 * math.ulp(ref)
 
@@ -180,6 +171,113 @@ def test_classify_is_finite_on_the_corners_of_the_domain(r, eta, nbar):
         if field.name != "nbar_threshold":
             assert math.isfinite(getattr(rep, field.name)), field.name
     assert math.isfinite(rep.nbar_threshold) or eta == 1.0
+
+
+R_MAX = math.log(sys.float_info.max) / 2.0
+NBAR_MAX = math.sqrt(sys.float_info.max) / 2.0
+DBL_MIN = sys.float_info.min
+
+
+def log_uniform(low_exponent, high):
+    """Floats in [10**low_exponent, high], uniform in their logarithm."""
+    return st.floats(low_exponent, math.log10(high)).map(lambda e: min(10.0**e, high))
+
+
+domain_r = st.one_of(st.sampled_from([0.0, R_MAX]), log_uniform(-300, R_MAX))
+domain_eta = st.one_of(
+    st.sampled_from([0.0, 0.5, 1.0 - 2.0**-53, 1.0]),
+    st.floats(0.0, 1.0),
+    log_uniform(-300, 1.0),
+    log_uniform(-16, 1.0).map(lambda gap: 1.0 - gap),
+)
+domain_nbar = st.one_of(st.sampled_from([0.0, NBAR_MAX]), log_uniform(-300, NBAR_MAX))
+
+
+def within_ulps(got, want, ulps):
+    """|got - want| <= ulps units in the last place of want.  Below DBL_MIN
+    digits are lost to underflow, so there an absolute DBL_MIN is allowed."""
+    import mpmath
+
+    if mpmath.isinf(want):
+        return got == want
+    error = abs(mpmath.mpf(got) - want)
+    return error <= ulps * math.ulp(float(want)) or (abs(want) < DBL_MIN and error <= DBL_MIN)
+
+
+@settings(max_examples=500)
+@given(domain_r, domain_eta, domain_nbar)
+def test_outputs_match_the_mpmath_reference_over_the_whole_domain(r, eta, nbar):
+    import mpmath
+
+    s = state(r, eta, nbar)
+    rep, fid, bell = classify(s), fidelity(s), maximize_b(s)
+    for field in dataclasses.fields(rep):
+        assert math.isfinite(getattr(rep, field.name)) or (field.name == "nbar_threshold" and eta == 1.0)
+    assert (rep.r, rep.eta, rep.nbar) == (r, eta, nbar)
+    with mpmath.workdps(50):
+        ref = exact(r, eta, nbar)
+        gg_sum = 2 * ref.cond
+        # Measured worst cases over 61701 corner and log-uniform states (numpy
+        # 2.4 on x86-64), in ulp: duan_sum 1.54, nbar_threshold 1.84, cond 2.35,
+        # fidelity 3.04, mu 3.09, j_max 3.84, gg_product_mu1 4.0, gg_product 5.0,
+        # b_max 5.65.  The products square an error of up to 2.35 ulp.
+        fields = {  # name: (value, its reference, ulp bound)
+            "duan_sum": (rep.duan_sum, ref.sm, 4),
+            "mu": (rep.mu, ref.mu, 4),
+            "dx_mu_sq": (rep.dx_mu_sq, ref.cond, 4),
+            "dp_mu_sq": (rep.dp_mu_sq, ref.cond, 4),
+            "cond_var_x": (rep.cond_var_x, ref.cond, 4),
+            "cond_var_p": (rep.cond_var_p, ref.cond, 4),
+            "gg_product": (rep.gg_product, ref.cond**2, 8),
+            "nbar_threshold": (rep.nbar_threshold, ref.nbar_threshold, 4),
+            "gg_product_mu1": (rep.gg_product_mu1, ref.sm**2 / 4, 8),
+            "gg_sum_mu1": (rep.gg_sum_mu1, ref.sm, 4),
+            "fidelity": (fid.fidelity, ref.fidelity, 4),
+            "j_max": (bell.j_max, ref.j_star, 8),
+            "b_max": (bell.b_max, ref.b_star, 8),
+        }
+        for name, (got, want, ulps) in fields.items():
+            assert within_ulps(got, want, ulps), (name, got, float(want))
+        # Each flag is (value op threshold).  It must agree with the reference
+        # wherever the reference is farther from the threshold than the bound
+        # on the value; (1 + mu^2)/2 carries mu's 4 ulp plus one rounding.
+        lt, gt = operator.lt, operator.gt
+        flags = {  # name: (flag, op, value's reference, its ulp bound, threshold, threshold's ulp bound)
+            "duan_nonseparable": (rep.duan_nonseparable, lt, ref.sm, 4, 1, 0),
+            "gg_hi_satisfied": (rep.gg_hi_satisfied, lt, ref.cond**2, 8, 1 / 16, 0),
+            "gg_sum_satisfied": (rep.gg_sum_satisfied, lt, gg_sum, 4, 1 / 2, 0),
+            "simon_mu_nonseparable": (rep.simon_mu_nonseparable, lt, gg_sum, 4, (1 + ref.mu**2) / 2, 5),
+            "gg_hi_satisfied_mu1": (rep.gg_hi_satisfied_mu1, lt, ref.sm**2 / 4, 8, 1 / 16, 0),
+            "gg_sum_satisfied_mu1": (rep.gg_sum_satisfied_mu1, lt, ref.sm, 4, 1 / 2, 0),
+            "beats_classical": (fid.beats_classical, gt, ref.fidelity, 4, 1 / 2, 0),
+            "beats_two_thirds": (fid.beats_two_thirds, gt, ref.fidelity, 4, 2 / 3, 0),
+            "violates": (bell.violates, gt, ref.b_star, 8, 2, 0),
+        }
+        for name, (flag, op, want, ulps, threshold, threshold_ulps) in flags.items():
+            margin = ulps * math.ulp(float(want)) + threshold_ulps * math.ulp(float(threshold))
+            assert abs(want - threshold) <= margin or flag == op(want, threshold), name
+
+
+def test_default_gain_predicates_at_large_squeezing(capsys):
+    # [sp(1-mu)^2 + sm(1+mu)^2]/8 with mu = 1 + 2^-52 gave dx_mu_sq = 58672658526.79,
+    # mu above 1, and all three default-gain predicates false
+    text = criteria_cli(capsys, 49.480993995997331, 1.0, 0.0)
+    row = dict(zip(CRITERIA_CSV_COLUMNS, text.strip().splitlines()[1].split(",")))
+    assert row["mu"] == "1"
+    assert row["dx_mu_sq"] == row["dp_mu_sq"] == row["cond_var_x"] == "5.2519998043254715e-44"
+    assert row["gg_hi_satisfied"] == row["gg_sum_satisfied"] == row["simon_mu_nonseparable"] == "true"
+
+
+def test_default_gain_predicates_follow_the_conditional_variance_up_to_the_r_edge():
+    flips = []
+    for r in np.linspace(0.0, 354.89, 300):
+        for eta in (1.0, 0.99, 0.9, 0.5, 0.1):
+            s = state(float(r), eta)
+            rep, (cond, _) = classify(s), conditional_variances(s)
+            assert 0.0 <= rep.mu <= 1.0
+            if (rep.gg_hi_satisfied, rep.gg_sum_satisfied) != (cond * cond < 1.0 / 16.0, 2.0 * cond < 0.5):
+                flips.append((float(r), eta))
+    assert flips == []
 
 
 def test_classify_three_db_lossless():
@@ -237,7 +335,7 @@ def test_simon_mu_nonseparable_at_optimal_gain():
     assert rep.duan_nonseparable
 
 
-@settings(deadline=None, max_examples=100)
+@settings(max_examples=100)
 @given(params_st)
 def test_classify_predicate_consistency(params):
     rep = classify(make_state(params))

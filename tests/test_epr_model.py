@@ -5,18 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eprbell import (
-    EprParams,
-    OracleConfig,
-    TwoModePoint,
-    fidelity,
-    make_state,
-    maximize_b,
-    mu_opt,
-    sample_epr,
-    second_moments,
-    wigner,
-)
+from eprbell import EprParams, OracleConfig, fidelity, make_state, maximize_b, mu_opt
+from reference import exact, reference_samples, second_moments, wigner
 
 LN2_HALF = math.log(2.0) / 2.0
 
@@ -93,34 +83,29 @@ def test_nbar_bound_is_the_largest_accepted_nbar():
         EprParams(r=0.0, eta=0.0, nbar=math.nextafter(bound, math.inf))
 
 
-def test_point_validation():
-    with pytest.raises(ValueError, match="p2"):
-        TwoModePoint(0.0, 0.0, 0.0, math.nan)
-
-
 def test_wigner_vacuum_origin():
     s = make_state(EprParams(0.0, 1.0))
-    assert wigner(s, TwoModePoint(0, 0, 0, 0)) == pytest.approx(4.0 / math.pi**2, rel=1e-15)
+    assert wigner(s, 0, 0, 0, 0) == pytest.approx(4.0 / math.pi**2, rel=1e-15)
 
 
 def test_wigner_origin_general():
     s = make_state(EprParams(0.9, 0.6, 0.4))
     expected = (4.0 / math.pi**2) / (s.sigma_plus_sq * s.sigma_minus_sq)
-    assert wigner(s, TwoModePoint(0, 0, 0, 0)) == pytest.approx(expected, rel=1e-15)
+    assert wigner(s, 0, 0, 0, 0) == pytest.approx(expected, rel=1e-15)
 
 
 def test_wigner_unit_displacement():
     # x1 = 1 puts one unit in each quadrature pair: exponent -1/sp - 1/sm = -2
     s = make_state(EprParams(0.0, 1.0))
     expected = (4.0 / math.pi**2) * math.exp(-2.0)
-    assert wigner(s, TwoModePoint(1.0, 0, 0, 0)) == pytest.approx(expected, rel=1e-14)
+    assert wigner(s, 1.0, 0, 0, 0) == pytest.approx(expected, rel=1e-14)
 
 
-@settings(deadline=None, max_examples=50)
+@settings(max_examples=50)
 @given(params_st, st.floats(-5, 5), st.floats(-5, 5), st.floats(-5, 5), st.floats(-5, 5))
 def test_wigner_nonnegative_and_positive_in_range(params, x1, p1, x2, p2):
     s = make_state(params)
-    value = wigner(s, TwoModePoint(x1, p1, x2, p2))
+    value = wigner(s, x1, p1, x2, p2)
     assert value >= 0.0
     exponent = (
         -((x1 + x2) ** 2 + (p1 - p2) ** 2) / s.sigma_plus_sq
@@ -140,7 +125,7 @@ def _normalization_quadrature(state, n):
     p1, x2, p2 = np.meshgrid(axis, axis, axis, indexing="ij")
     total = 0.0
     for i, x1 in enumerate(axis):
-        total += w1[i] * float(np.sum(wigner(state, TwoModePoint(x1, p1, x2, p2)) * w3))
+        total += w1[i] * float(np.sum(wigner(state, x1, p1, x2, p2) * w3))
     return total
 
 
@@ -171,7 +156,7 @@ def test_second_moments_three_db():
     assert m.cov_pp == pytest.approx(-0.1875, abs=1e-15)
 
 
-@settings(deadline=None, max_examples=50)
+@settings(max_examples=50)
 @given(params_st)
 def test_second_moments_invariants(params):
     m = second_moments(make_state(params))
@@ -190,7 +175,7 @@ def test_second_moments_pure_state_closed_form():
 def test_second_moments_match_sampling():
     state = make_state(EprParams(LN2_HALF, 1.0))
     n = 1_000_000
-    pts = sample_epr(state, OracleConfig(samples=n, seed=7))
+    pts = reference_samples(state, OracleConfig(samples=n, seed=7))
     m = second_moments(state)
     var_se = m.var_x * math.sqrt(2.0 / (n - 1))
     cov_se = math.sqrt((m.var_x * m.var_x + m.cov_xx**2) / n)
@@ -228,18 +213,10 @@ def test_mu_opt_matches_closed_form_grid():
 @pytest.mark.parametrize("r", [1e-12, 1e-8, 1e-4, 0.5, 354.8])
 def test_mu_opt_and_j_star_match_mpmath(r, eta, nbar):
     # sp - sm cancels the thermal term: at r = 1e-12, eta = 0.01, nbar = 1e6 it left mu_opt = 0
-    import mpmath
-
     state = make_state(EprParams(r, eta, nbar))
-    with mpmath.workdps(50):
-        r_ref, eta_ref, nbar_ref = map(mpmath.mpf, (r, eta, nbar))
-        thermal = (1 - eta_ref) * (1 + 2 * nbar_ref)
-        sp = eta_ref * mpmath.exp(2 * r_ref) + thermal
-        sm = eta_ref * mpmath.exp(-2 * r_ref) + thermal
-        mu = (sp - sm) / (sp + sm)
-        j_star = mpmath.log1p(mu) * sm / (3 - sm / sp)
-        for got, ref in ((mu_opt(state), mu), (maximize_b(state).j_max, j_star)):
-            assert abs(got - ref) <= 4 * math.ulp(float(ref))
+    ref = exact(r, eta, nbar)
+    for got, want in ((mu_opt(state), ref.mu), (maximize_b(state).j_max, ref.j_star)):
+        assert abs(got - want) <= 4 * math.ulp(float(want))
 
 
 def test_loss_ordering():

@@ -5,19 +5,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.special import ndtri
 
-from eprbell import (
-    EprParams,
-    OracleConfig,
-    duan_sum,
-    fidelity,
-    make_state,
-    mc_fidelity,
-    sample_epr,
-)
+from eprbell import EprParams, OracleConfig, duan_sum, fidelity, make_state, mc_fidelity
 from eprbell import oracle
 from eprbell.oracle import BLOCK, ENV_WORKERS
+from reference import reference_factors, reference_samples
 
 LN2_HALF = math.log(2.0) / 2.0
 
@@ -38,8 +30,8 @@ def test_config_validation(samples, seed):
 def test_sampling_is_deterministic():
     s = state(0.6, 0.8, 0.2)
     config = OracleConfig(samples=10_000, seed=987654321)
-    a = sample_epr(s, config)
-    b = sample_epr(s, config)
+    a = oracle._block(s, config, 0).copy()  # the next block overwrites the view
+    b = oracle._block(s, config, 0)
     np.testing.assert_array_equal(a, b)
     ea = mc_fidelity(s, config)
     eb = mc_fidelity(s, config)
@@ -48,21 +40,21 @@ def test_sampling_is_deterministic():
 
 def test_different_seeds_differ():
     s = state(0.6, 0.8)
-    a = sample_epr(s, OracleConfig(samples=1000, seed=1))
-    b = sample_epr(s, OracleConfig(samples=1000, seed=2))
+    a = oracle._block(s, OracleConfig(samples=1000, seed=1), 0).copy()
+    b = oracle._block(s, OracleConfig(samples=1000, seed=2), 0)
     assert not np.array_equal(a, b)
 
 
 def test_sample_shape_and_finiteness():
-    pts = sample_epr(state(1.0, 0.5, 0.3), OracleConfig(samples=5000, seed=3))
-    assert pts.shape == (5000, 4)
-    assert np.all(np.isfinite(pts))
+    noise = oracle._block(state(1.0, 0.5, 0.3), OracleConfig(samples=5000, seed=3), 0)
+    assert noise.shape == (2, 5000)
+    assert np.all(np.isfinite(noise))
 
 
 def test_difference_quadrature_variance():
     s = state(LN2_HALF, 1.0)
     n = 1_000_000
-    pts = sample_epr(s, OracleConfig(samples=n, seed=20240401))
+    pts = reference_samples(s, OracleConfig(samples=n, seed=20240401))
     diff_x = pts[:, 0] - pts[:, 2]
     target = s.sigma_minus_sq / 2.0  # 0.25 at -3 dB
     se = target * math.sqrt(2.0 / (n - 1))
@@ -76,7 +68,7 @@ def test_difference_quadrature_variance():
 def test_sample_means_are_zero():
     s = state(0.9, 0.7, 0.4)
     n = 400_000
-    pts = sample_epr(s, OracleConfig(samples=n, seed=5))
+    pts = reference_samples(s, OracleConfig(samples=n, seed=5))
     for column in range(4):
         sd = float(np.std(pts[:, column]))
         assert abs(float(np.mean(pts[:, column]))) <= 4.0 * sd / math.sqrt(n)
@@ -120,31 +112,15 @@ def test_mc_fidelity_needs_two_samples():
         mc_fidelity(state(0.5, 0.9), OracleConfig(samples=1, seed=1))
 
 
-def reference_samples(s, config):
-    """The documented stream, materialised at once: one (4, N) draw, then ndtri."""
-    k = np.random.default_rng(config.seed).integers(
-        0, 1 << 53, size=(4, config.samples), dtype=np.uint64
-    )
-    z = ndtri((k.astype(np.float64) + 0.5) * 2.0**-53)
-    scale_plus = math.sqrt(s.sigma_plus_sq / 2.0)
-    scale_minus = math.sqrt(s.sigma_minus_sq / 2.0)
-    sum_x, diff_x = scale_plus * z[0], scale_minus * z[1]
-    diff_p, sum_p = scale_plus * z[2], scale_minus * z[3]
-    return np.stack(
-        [(sum_x + diff_x) / 2.0, (sum_p + diff_p) / 2.0,
-         (sum_x - diff_x) / 2.0, (sum_p - diff_p) / 2.0],
-        axis=1,
-    )
-
-
 @pytest.mark.parametrize("samples", [2, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7])
 def test_streamed_blocks_match_the_single_draw(samples):
     s = state(0.8, 0.85, 0.1)
     config = OracleConfig(samples=samples, seed=2**63 + 2**40 + 17)
-    pts = reference_samples(s, config)
-    np.testing.assert_array_equal(sample_epr(s, config), pts)
+    factors = reference_factors(s, config)
+    for start in range(0, samples, BLOCK):
+        np.testing.assert_array_equal(oracle._block(s, config, start), factors[[1, 3], start:start + BLOCK])
 
-    noise_sq = (pts[:, 2] - pts[:, 0]) ** 2 + (pts[:, 3] + pts[:, 1]) ** 2
+    noise_sq = factors[1] ** 2 + factors[3] ** 2
     f_samples = np.exp(-noise_sq)
     est = mc_fidelity(s, config)
     assert est.fidelity_hat == pytest.approx(float(np.mean(f_samples)), rel=1e-14, abs=0.0)
@@ -164,12 +140,10 @@ def test_results_are_bit_identical_for_any_worker_count(monkeypatch, samples):
     try:
         for workers in (1, 2, 3):
             monkeypatch.setenv(ENV_WORKERS, str(workers))
-            results.append((mc_fidelity(s, config), sample_epr(s, config)))
+            results.append(mc_fidelity(s, config))
     finally:
         sys.setswitchinterval(interval)
-    for estimate, pts in results[1:]:
-        assert estimate == results[0][0]
-        np.testing.assert_array_equal(pts, results[0][1])
+    assert all(estimate == results[0] for estimate in results)
 
 
 def test_only_calls_of_many_blocks_use_the_pool(monkeypatch):
