@@ -19,10 +19,13 @@ order and Python float/bool cells.  Tables are written as CSV (header row,
 17 significant digits, "inf" for unbounded values) or JSON lines by one
 per-column codec, which the CLI's ``name=value`` lines share: a bool
 column is true/false, any other column floats, and a column mixing bools
-with numbers raises ValueError.  The EPRBELL_WORKERS environment variable
-(integer >= 1; unset, the number of CPUs available) sets the Monte-Carlo
-oracle's thread count; sweeps ignore the count but validate it on every
-call.
+with numbers raises ValueError.  The codec formats each distinct value of
+a column (by float64 bit pattern) once, and builds every JSONL row from
+one template per table.  Both writers reject column names that would not
+read back: repeated, empty, or holding a comma or line break.  The
+EPRBELL_WORKERS environment variable (integer >= 1; unset, the number of
+CPUs available) sets the Monte-Carlo oracle's thread count; sweeps ignore
+the count but validate it on every call.
 """
 
 from __future__ import annotations
@@ -197,20 +200,34 @@ _JSON_NON_FINITE = {"nan": "NaN", "inf": '"inf"', "-inf": '"-inf"'}
 
 def column_text(name: str, values, json_form: bool = False) -> list[str]:
     """One column's cells as CSV (or JSON) text: bools as true/false, anything else as
-    a float, '%.17g' in CSV and json.dumps's text in JSON.  Bools mixed with numbers
-    raise ValueError, since the cells would not read back as they were written."""
+    a float, '%.17g' in CSV and json.dumps's text in JSON.  Each distinct float, by bit
+    pattern (so 0.0 and -0.0, and NaNs of different sign, stay apart), is formatted once
+    and its text shared by every cell holding it.  Bools mixed with numbers raise
+    ValueError, since the cells would not read back as they were written."""
     types = set(map(type, values))
     if bool in types:
         if len(types) > 1:
             raise ValueError(f"column {name!r} mixes booleans with numbers")
         return list(map(_BOOL_TEXT.__getitem__, values))
+    floats = np.fromiter(map(float, values), float, len(values))
+    bits, cell_index = np.unique(floats.view(np.uint64), return_inverse=True)
+    distinct = bits.view(np.float64).tolist()
     if json_form:
-        texts = list(map(repr, map(float, values)))
-        return list(map(_JSON_NON_FINITE.get, texts, texts))
-    return list(map("%.17g".__mod__, map(float, values)))
+        texts = list(map(repr, distinct))
+        texts = list(map(_JSON_NON_FINITE.get, texts, texts))
+    else:
+        texts = list(map("%.17g".__mod__, distinct))
+    return list(map(texts.__getitem__, cell_index.tolist()))
 
 
 def _text_columns(table: Table, json_form: bool) -> list[list[str]]:
+    """The cell texts of each column, after checking that the header and rows read back."""
+    seen = set()
+    for name in table.columns:
+        # a comma or line break would split the CSV header; an empty name leaves no header
+        if name in seen or "," in name or name.splitlines() != [name]:
+            raise ValueError(f"column name {name!r} is repeated, empty, or holds a comma or line break")
+        seen.add(name)
     if set(map(len, table.rows)) - {len(table.columns)}:
         raise ValueError(f"every row must have the {len(table.columns)} cells of the header")
     return [column_text(name, values, json_form) for name, values in zip(table.columns, zip(*table.rows))]
@@ -259,9 +276,10 @@ def table_from_csv(text: str) -> Table:
 
 
 def table_to_jsonl(table: Table) -> str:
-    keys = [json.dumps(name) + ": " for name in table.columns]
+    # One %-template per table; '%' in a key is escaped so only the cell slots substitute.
+    template = "{" + ", ".join(json.dumps(name).replace("%", "%%") + ": %s" for name in table.columns) + "}"
     rows = zip(*_text_columns(table, json_form=True))
-    return "\n".join("{" + ", ".join(map(str.__add__, keys, row)) + "}" for row in rows) + "\n"
+    return "\n".join(map(template.__mod__, rows)) + "\n"
 
 
 def _json_cell(value):

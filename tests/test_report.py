@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -239,6 +240,22 @@ CODEC_TABLES = {
         ),
     ),
     "zero-rows": lambda: Table(columns=("a", "b"), rows=()),
+    # Equal floats with different bits (0.0 and -0.0, NaNs of either sign) must keep their own text.
+    "repeated-cells": lambda: Table(
+        columns=("x", "k"),
+        rows=tuple(
+            (x, 0.5 * (i % 3))
+            for i, x in enumerate((
+                0.0, -0.0, math.nan, float("nan"), -math.nan, np.float64("nan"), 0.0, -0.0,
+                math.inf, -math.inf, math.inf, -math.inf, 5e-324, -5e-324, 5e-324, -5e-324,
+                3, 3.0, np.float64(3.0), -0.0, 0.0, math.nan, -math.nan,
+            ))
+        ),
+    ),
+    "format-keys": lambda: Table(
+        columns=("a%s", "b%", "%%", "%(x)s", '"c"', "{d}"),
+        rows=((1.0, True, math.inf, -0.5, math.nan, 0.0), (2.0, False, 0.0, 7.0, -0.0, 1e300)),
+    ),
 }
 
 
@@ -295,6 +312,19 @@ def test_writers_reject_mixed_columns_and_ragged_rows():
             write(mixed)
         with pytest.raises(ValueError, match="header"):
             write(ragged)
+
+
+@pytest.mark.parametrize(
+    "columns, bad",
+    [(("a", "a"), "a"), (("",), ""), (("x", ""), ""), (("a,b",), "a,b"),
+     (("a\nb",), "a\nb"), (("a\r",), "a\r"), (("a\x85",), "a\x85")],
+    ids=["repeated", "empty-only", "empty", "comma", "newline", "carriage-return", "next-line"],
+)
+def test_writers_reject_column_names_that_cannot_round_trip(columns, bad):
+    table = Table(columns=columns, rows=(tuple(float(i) for i in range(len(columns))),))
+    for write in (table_to_csv, table_to_jsonl):
+        with pytest.raises(ValueError, match=f"column name {re.escape(repr(bad))}"):
+            write(table)
 
 
 def test_jsonl_keys_with_format_characters_round_trip():
