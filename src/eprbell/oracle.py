@@ -27,18 +27,18 @@ with the pairwise update of Chan, Golub & LeVeque (1979).  A fixed
 estimates; platform-dependent rounding of the transcendentals involved is
 below 1e-12.
 
-Worker mode: blocks run on a thread pool of EPRBELL_WORKERS threads
-(integer >= 1; unset, the number of CPUs this process may run on), capped
-at the number of blocks.  The integer draw, ndtri and the numpy
+Worker mode: blocks run on a thread pool of one thread per CPU this
+process may run on (its affinity mask; run under ``taskset`` for fewer),
+capped at the number of blocks.  The integer draw, ndtri and the numpy
 reductions release the GIL, so blocks overlap.  Since a block depends
 only on its own index and the results are reduced in block order, the
-estimates are bit-identical for every worker count.  With one worker,
+estimates are bit-identical for every thread count.  With one CPU,
 or fewer than _POOL_BLOCKS blocks, blocks run inline and no pool is
 made: such a call takes a few scheduler periods at most, so on a thread
 pool its latency would hinge on whether another CPU happens to be free
 at that moment.  A longer call runs its own pool and joins it
 before it returns, so no thread outlives the call.  Each thread reuses
-one block buffer, so memory is bounded by the workers times BLOCK.
+one block buffer, so memory is bounded by the threads times BLOCK.
 """
 
 from __future__ import annotations
@@ -52,11 +52,10 @@ import numpy as np
 
 from .epr_model import GaussianEprState
 
-__all__ = ["BLOCK", "ENV_WORKERS", "OracleConfig", "OracleEstimate", "mc_fidelity"]
+__all__ = ["BLOCK", "OracleConfig", "OracleEstimate", "mc_fidelity"]
 
 BLOCK = 2**16
 _POOL_BLOCKS = 16  # a call of fewer blocks (~1e6 samples, ~0.1 s) runs inline
-ENV_WORKERS = "EPRBELL_WORKERS"
 
 
 @dataclass(frozen=True)
@@ -81,17 +80,8 @@ class OracleEstimate:
 
 
 def _worker_count() -> int:
-    """EPRBELL_WORKERS as an integer >= 1; unset, the CPUs this process may run on."""
-    raw = os.environ.get(ENV_WORKERS)
-    if raw is None:
-        return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    try:
-        count = int(raw)
-    except ValueError:
-        raise ValueError(f"{ENV_WORKERS} must be an integer >= 1, got {raw!r}") from None
-    if count < 1:
-        raise ValueError(f"{ENV_WORKERS} must be an integer >= 1, got {raw!r}")
-    return count
+    """The number of CPUs this process may run on: the oracle's thread count."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 _thread = threading.local()  # .buf: this thread's (2, BLOCK) block buffer
@@ -129,8 +119,7 @@ def _map_blocks(fn, samples: int) -> list:
     """[fn(start) for each block start], in block order, run on a pool of its
     own when there are at least _POOL_BLOCKS blocks and more than one worker."""
     starts = range(0, samples, BLOCK)
-    workers = _worker_count()  # a malformed EPRBELL_WORKERS is rejected before any block runs
-    if workers == 1 or len(starts) < _POOL_BLOCKS:
+    if len(starts) < _POOL_BLOCKS or (workers := _worker_count()) == 1:
         return list(map(fn, starts))
     from concurrent.futures import ThreadPoolExecutor
 

@@ -21,11 +21,8 @@ per-column codec, which the CLI's ``name=value`` lines share: a bool
 column is true/false, any other column floats, and a column mixing bools
 with numbers raises ValueError.  The codec formats each distinct value of
 a column (by float64 bit pattern) once, and builds every JSONL row from
-one template per table.  Both writers reject column names that would not
-read back: repeated, empty, or holding a comma or line break.  The
-EPRBELL_WORKERS environment variable (integer >= 1; unset, the number of
-CPUs available) sets the Monte-Carlo oracle's thread count; sweeps ignore
-the count but validate it on every call.
+one template per table.  Readers and writers alike reject column names
+that would not read back: repeated, empty, or holding a comma or line break.
 """
 
 from __future__ import annotations
@@ -38,11 +35,9 @@ import numpy as np
 
 from .bell import _b, _bell_max, _displacements, _loss_bound
 from .epr_model import EprParams, sigma_pair
-from .oracle import ENV_WORKERS, _worker_count
 from .teleport import _fidelity
 
 __all__ = [
-    "ENV_WORKERS",
     "DEFAULT_ETAS",
     "DEFAULT_FIG2_R",
     "DEFAULT_R_RANGES",
@@ -146,7 +141,6 @@ def default_fig2_j_grid() -> tuple[float, ...]:
 
 def _mesh(spec: SweepSpec):
     """(r, eta, nbar) as flat arrays over the grid, eta descending then r ascending."""
-    _worker_count()  # reject a malformed EPRBELL_WORKERS on every sweep
     eta, r = np.meshgrid(sorted(spec.eta_list, reverse=True), sorted(spec.r_grid), indexing="ij")
     return r.ravel(), eta.ravel(), np.full(r.size, spec.nbar)
 
@@ -198,16 +192,21 @@ _BOOL_TEXT = ("false", "true")
 _JSON_NON_FINITE = {"nan": "NaN", "inf": '"inf"', "-inf": '"-inf"'}
 
 
+def _bool_column(name: str, values) -> bool:
+    """Whether every cell is a bool; a column mixing bools with other cells raises ValueError."""
+    types = set(map(type, values))
+    if bool in types and len(types) > 1:
+        raise ValueError(f"column {name!r} mixes booleans with numbers")
+    return bool in types
+
+
 def column_text(name: str, values, json_form: bool = False) -> list[str]:
     """One column's cells as CSV (or JSON) text: bools as true/false, anything else as
     a float, '%.17g' in CSV and json.dumps's text in JSON.  Each distinct float, by bit
     pattern (so 0.0 and -0.0, and NaNs of different sign, stay apart), is formatted once
     and its text shared by every cell holding it.  Bools mixed with numbers raise
     ValueError, since the cells would not read back as they were written."""
-    types = set(map(type, values))
-    if bool in types:
-        if len(types) > 1:
-            raise ValueError(f"column {name!r} mixes booleans with numbers")
+    if _bool_column(name, values):
         return list(map(_BOOL_TEXT.__getitem__, values))
     floats = np.fromiter(map(float, values), float, len(values))
     bits, cell_index = np.unique(floats.view(np.uint64), return_inverse=True)
@@ -220,35 +219,28 @@ def column_text(name: str, values, json_form: bool = False) -> list[str]:
     return list(map(texts.__getitem__, cell_index.tolist()))
 
 
+def _check_columns(columns) -> None:
+    """Reject column names that do not read back in both formats."""
+    for index, name in enumerate(columns):
+        # a comma or line break would split the CSV header; an empty name leaves no header
+        if name in columns[:index] or "," in name or name.splitlines() != [name]:
+            raise ValueError(f"column name {name!r} is repeated, empty, or holds a comma or line break")
+
+
 def _text_columns(table: Table, json_form: bool) -> list[list[str]]:
     """The cell texts of each column, after checking that the header and rows read back."""
-    seen = set()
-    for name in table.columns:
-        # a comma or line break would split the CSV header; an empty name leaves no header
-        if name in seen or "," in name or name.splitlines() != [name]:
-            raise ValueError(f"column name {name!r} is repeated, empty, or holds a comma or line break")
-        seen.add(name)
+    _check_columns(table.columns)
     if set(map(len, table.rows)) - {len(table.columns)}:
         raise ValueError(f"every row must have the {len(table.columns)} cells of the header")
     return [column_text(name, values, json_form) for name, values in zip(table.columns, zip(*table.rows))]
 
 
-def _parse_cell(text: str):
-    if text == "true":
-        return True
-    if text == "false":
-        return False
-    return float(text)
-
-
-def _parse_column(texts) -> list:
-    """One CSV column's cells: true/false as bools, anything else as a float."""
-    if set(texts) <= set(_BOOL_TEXT):
+def _parse_column(texts, bools: bool) -> list:
+    """One CSV column's cells: all true/false in a bool column (one whose first cell is),
+    else floats, so float() rejects a column mixing the two in any chunk of rows."""
+    if bools and set(texts) <= set(_BOOL_TEXT):
         return [text == "true" for text in texts]
-    try:
-        return list(map(float, texts))
-    except ValueError:  # a column mixing bools with numbers, or a cell that is neither
-        return list(map(_parse_cell, texts))
+    return list(map(float, texts))
 
 
 def table_to_csv(table: Table) -> str:
@@ -265,13 +257,15 @@ def table_from_csv(text: str) -> Table:
     if not lines:
         raise ValueError("empty CSV input")
     columns = tuple(lines[0].split(","))
+    _check_columns(columns)
+    bools = [cell in _BOOL_TEXT for cell in lines[1].split(",")] if len(lines) > 1 else []
     rows = []
     for first in range(1, len(lines), _CSV_CHUNK):
         cells = [line.split(",") for line in lines[first:first + _CSV_CHUNK]]
         for index, row in enumerate(cells, start=first):
             if len(row) != len(columns):
                 raise ValueError(f"CSV row {index} has {len(row)} cells, header has {len(columns)}")
-        rows.extend(zip(*map(_parse_column, zip(*cells))))
+        rows.extend(zip(*map(_parse_column, zip(*cells), bools)))
     return Table(columns=columns, rows=tuple(rows))
 
 
@@ -290,9 +284,9 @@ def _json_cell(value):
     raise ValueError(f'JSONL cell {json.dumps(value)} is not a number, a boolean, "inf" or "-inf"')
 
 
-def _json_column(values: list) -> list:
-    """One JSONL column's cells, as _json_cell reads each."""
-    if {bool, int, float}.issuperset(map(type, values)):
+def _json_column(name: str, values: list) -> list:
+    """One JSONL column's cells: all bools, else each as _json_cell reads it."""
+    if _bool_column(name, values) or {int, float}.issuperset(map(type, values)):
         return values
     return list(map(_json_cell, values))
 
@@ -308,5 +302,6 @@ def table_from_jsonl(text: str) -> Table:
         if obj.keys() != objs[0].keys():
             raise ValueError(f"JSONL object {index} does not have the keys {tuple(objs[0])}")
     columns = tuple(objs[0])
+    _check_columns(columns)
     cells = ([obj[name] for obj in objs] for name in columns)
-    return Table(columns=columns, rows=tuple(zip(*map(_json_column, cells))))
+    return Table(columns=columns, rows=tuple(zip(*map(_json_column, columns, cells))))

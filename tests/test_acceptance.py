@@ -33,7 +33,6 @@ from eprbell import (
 )
 from eprbell.report import (
     DEFAULT_FIG2_R,
-    ENV_WORKERS,
     default_fig1_spec,
     default_fig2_j_grid,
     default_fig3_spec,
@@ -197,7 +196,7 @@ def test_criterion_11_scaled_chsh():
     done(11, "scaled CHSH optimum and linearity")
 
 
-def test_criterion_12_deterministic_outputs(fig4_sweep, monkeypatch):
+def test_criterion_12_deterministic_outputs(fig4_sweep):
     fig4_first, _ = fig4_sweep
     outputs = {
         "fig1": table_to_csv(fig1(default_fig1_spec())),
@@ -210,10 +209,4 @@ def test_criterion_12_deterministic_outputs(fig4_sweep, monkeypatch):
     assert table_to_csv(fig2(DEFAULT_FIG2_R, 0.9, default_fig2_j_grid())) == outputs["fig2"]
     assert table_to_csv(fig3(default_fig3_spec())) == outputs["fig3"]
     assert table_to_csv(fig4(default_fig4_spec())) == outputs["fig4"]
-    # across worker counts
-    monkeypatch.setenv(ENV_WORKERS, "2")
-    assert table_to_csv(fig1(default_fig1_spec())) == outputs["fig1"]
-    assert table_to_csv(fig2(DEFAULT_FIG2_R, 0.9, default_fig2_j_grid())) == outputs["fig2"]
-    assert table_to_csv(fig3(default_fig3_spec())) == outputs["fig3"]
-    assert table_to_csv(fig4(default_fig4_spec())) == outputs["fig4"]
-    done(12, "figure datasets byte-identical across runs and worker counts")
+    done(12, "figure datasets byte-identical across runs")

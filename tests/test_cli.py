@@ -3,13 +3,11 @@ import math
 import os
 import subprocess
 import sys
-import threading
 from pathlib import Path
 
 import pytest
 
 from eprbell.cli import main
-from eprbell.oracle import ENV_WORKERS
 from eprbell.report import DEFAULT_ETAS
 import eprbell
 from eprbell import EprParams, b_of_j, make_state, table_from_csv
@@ -325,26 +323,17 @@ def test_rejected_input_exits_2_with_one_error_line(tmp_path, capsys, argv, conf
     ids=["fidelity", "fidelity-json", "bell-max", "chsh", "oracle", "oracle-4-blocks"],
 )
 def test_single_result_stdout_is_pinned(monkeypatch, capsys, argv, code, expected):
-    monkeypatch.setenv(ENV_WORKERS, "2")
+    monkeypatch.setattr(eprbell.oracle, "_worker_count", lambda: 2)
     monkeypatch.setattr(eprbell.oracle, "_POOL_BLOCKS", 2)  # the 4-block oracle call runs on the thread pool
     assert run(capsys, *argv) == (code, expected, "")
 
 
-@pytest.mark.parametrize("raw", ["0", "zero"])
-def test_oracle_rejects_a_malformed_worker_count(monkeypatch, capsys, raw):
-    monkeypatch.setenv(ENV_WORKERS, raw)
-    threads = set(threading.enumerate())
-    code, out, err = run(capsys, "oracle", "--r", "0.5", "--eta", "0.9", "--samples", "200003", "--seed", "1")
-    assert (code, out) == (2, "")
-    assert len(err.splitlines()) == 1 and err.startswith("error: ") and ENV_WORKERS in err
-    assert set(threading.enumerate()) <= threads  # no thread started
-
-
 def test_one_block_oracle_and_sweeps_start_no_thread():
-    # A one-block oracle call runs inline, and sweeps only validate the worker count.
-    env = dict(os.environ, PYTHONPATH=str(Path(eprbell.__file__).resolve().parents[1]), EPRBELL_WORKERS="3")
+    # A one-block oracle call runs inline, and sweeps never use the oracle's threads.
+    env = dict(os.environ, PYTHONPATH=str(Path(eprbell.__file__).resolve().parents[1]))
     code = (
-        "import contextlib, io, threading, eprbell.cli\n"
+        "import contextlib, io, threading, eprbell.cli, eprbell.oracle\n"
+        "eprbell.oracle._worker_count = lambda: 3\n"
         "started = []\n"
         "start = threading.Thread.start\n"
         "threading.Thread.start = lambda thread: started.append(thread) or start(thread)\n"

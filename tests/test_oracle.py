@@ -8,7 +8,7 @@ import pytest
 
 from eprbell import EprParams, OracleConfig, duan_sum, fidelity, make_state, mc_fidelity
 from eprbell import oracle
-from eprbell.oracle import BLOCK, ENV_WORKERS
+from eprbell.oracle import BLOCK
 from reference import reference_factors, reference_samples
 
 LN2_HALF = math.log(2.0) / 2.0
@@ -139,7 +139,7 @@ def test_results_are_bit_identical_for_any_worker_count(monkeypatch, samples):
     sys.setswitchinterval(1e-6)  # hand the GIL between the block threads as often as possible
     try:
         for workers in (1, 2, 3):
-            monkeypatch.setenv(ENV_WORKERS, str(workers))
+            monkeypatch.setattr(oracle, "_worker_count", lambda: workers)
             results.append(mc_fidelity(s, config))
     finally:
         sys.setswitchinterval(interval)
@@ -147,7 +147,7 @@ def test_results_are_bit_identical_for_any_worker_count(monkeypatch, samples):
 
 
 def test_only_calls_of_many_blocks_use_the_pool(monkeypatch):
-    monkeypatch.setenv(ENV_WORKERS, "2")
+    monkeypatch.setattr(oracle, "_worker_count", lambda: 2)
     started = []
     start = threading.Thread.start
     monkeypatch.setattr(threading.Thread, "start", lambda thread: started.append(thread) or start(thread))
@@ -156,6 +156,20 @@ def test_only_calls_of_many_blocks_use_the_pool(monkeypatch):
     assert started == []
     mc_fidelity(s, OracleConfig(samples=(oracle._POOL_BLOCKS - 1) * BLOCK + 1, seed=5))
     assert len(started) == 2  # min(workers, blocks); the second starts long before the first block ends
+
+
+def test_thread_count_follows_cpu_affinity(monkeypatch):
+    s = state(0.6, 0.8, 0.2)
+    config = OracleConfig(samples=oracle._POOL_BLOCKS * BLOCK, seed=9)
+    monkeypatch.setattr(oracle.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    inline = mc_fidelity(s, config)
+    monkeypatch.setattr(oracle.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    assert oracle._worker_count() == 3
+    started = []
+    start = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start", lambda thread: started.append(thread) or start(thread))
+    assert mc_fidelity(s, config) == inline
+    assert len(started) == 3  # min(CPUs, blocks)
 
 
 @pytest.mark.parametrize("r", [0.0, 3.0, 8.0, 10.0, 15.0])
@@ -182,7 +196,7 @@ def test_mc_fidelity_passes_at_large_squeezing(r):
 
 
 def _mc_fidelity_peak_memory(monkeypatch, workers):
-    monkeypatch.setenv(ENV_WORKERS, str(workers))
+    monkeypatch.setattr(oracle, "_worker_count", lambda: workers)
     s = state(0.6, 0.8, 0.2)
     mc_fidelity(s, OracleConfig(samples=2, seed=11))  # first call imports scipy.special
     tracemalloc.start()

@@ -26,7 +26,6 @@ from eprbell import (
 from eprbell.report import (
     DEFAULT_ETAS,
     DEFAULT_FIG2_R,
-    ENV_WORKERS,
     default_fig1_spec,
     default_fig2_j_grid,
     default_fig3_spec,
@@ -298,10 +297,19 @@ def test_column_readers_match_the_per_cell_readers(name):
 
 
 def test_csv_reads_mixed_and_foreign_columns_cell_by_cell():
-    table = table_from_csv("a,b\ntrue,1\n0.5,false\n")
-    assert _typed_cells(table) == [[(bool, "True"), (float, "1.0")], [(float, "0.5"), (bool, "False")]]
+    with pytest.raises(ValueError):
+        table_from_csv("a,b\ntrue,1\n0.5,false\n")
     with pytest.raises(ValueError):
         table_from_csv("a\n1\nyes\n")
+
+
+@pytest.mark.parametrize("first, later", [("true", "0.5"), ("0.5", "true")])
+def test_readers_reject_columns_mixing_booleans_with_numbers(first, later):
+    # The CSV reader parses chunks of rows; a column must not be bools in one chunk and floats in the next.
+    with pytest.raises(ValueError, match="could not convert"):
+        table_from_csv("a\n" + f"{first}\n" * 300 + f"{later}\n")
+    with pytest.raises(ValueError, match="'a' mixes booleans"):
+        table_from_jsonl(f'{{"a": {first}}}\n{{"a": {later}}}\n')
 
 
 def test_writers_reject_mixed_columns_and_ragged_rows():
@@ -325,6 +333,22 @@ def test_writers_reject_column_names_that_cannot_round_trip(columns, bad):
     for write in (table_to_csv, table_to_jsonl):
         with pytest.raises(ValueError, match=f"column name {re.escape(repr(bad))}"):
             write(table)
+
+
+# The writers' rejected names, as text that carries them.  A CSV header cannot hold a comma,
+# a line break or a lone empty name, and a JSON object keeps one of repeated keys.
+@pytest.mark.parametrize(
+    "read, text, bad",
+    [(table_from_csv, "a,a\n0,1\n", "a"), (table_from_csv, "x,\n0,1\n", ""), (table_from_csv, ",b\n1,2\n", ""),
+     (table_from_jsonl, '{"": 0}\n', ""), (table_from_jsonl, '{"x": 0, "": 1}\n', ""),
+     (table_from_jsonl, '{"a,b": 0}\n', "a,b"), (table_from_jsonl, '{"a\\nb": 0}\n', "a\nb"),
+     (table_from_jsonl, '{"a\\r": 0}\n', "a\r"), (table_from_jsonl, '{"a\\u0085": 0}\n', "a\x85")],
+    ids=["csv-repeated", "csv-empty", "csv-empty-first", "jsonl-empty-only", "jsonl-empty", "jsonl-comma",
+         "jsonl-newline", "jsonl-carriage-return", "jsonl-next-line"],
+)
+def test_readers_reject_column_names_that_cannot_round_trip(read, text, bad):
+    with pytest.raises(ValueError, match=f"column name {re.escape(repr(bad))}"):
+        read(text)
 
 
 def test_jsonl_keys_with_format_characters_round_trip():
@@ -353,20 +377,3 @@ def test_jsonl_rejects_non_objects_and_foreign_cells():
             table_from_jsonl(text)
 
 
-def test_sweeps_independent_of_worker_count(monkeypatch):
-    spec = SweepSpec.from_range(0.0, 2.0, 12, eta_list=(0.95, 0.6))
-    baseline = table_to_csv(fig4(spec))
-    monkeypatch.setenv(ENV_WORKERS, "3")
-    assert table_to_csv(fig4(spec)) == baseline
-    monkeypatch.setenv(ENV_WORKERS, "2")
-    assert table_to_csv(fig1(spec)) == table_to_csv(fig1(spec))
-
-
-def test_worker_env_validation(monkeypatch):
-    spec = SweepSpec.from_range(0.0, 1.0, 3, eta_list=(0.9,))
-    monkeypatch.setenv(ENV_WORKERS, "zero")
-    with pytest.raises(ValueError):
-        fig1(spec)
-    monkeypatch.setenv(ENV_WORKERS, "0")
-    with pytest.raises(ValueError):
-        fig1(spec)
