@@ -51,7 +51,7 @@ class ScaledChsh:
     theta: float
     angles: tuple[float, float, float, float]  # (phi1, phi1', phi2, phi2')
     s_value: float
-    m_scale: float  # overall coincidence scale; recorded, never enters S
+    m_scale: float = 1.0  # overall coincidence scale; never enters S
 
 
 def _b(sp, sm, j):
@@ -136,7 +136,7 @@ def _chsh_combination(v: float, theta: float, angles) -> float:
     return e(phi1, phi2) + e(phi1p, phi2) + e(phi1, phi2p) - e(phi1p, phi2p)
 
 
-def scaled_chsh(v: float, theta: float, angles, m_scale: float = 1.0) -> ScaledChsh:
+def scaled_chsh(v: float, theta: float, angles) -> ScaledChsh:
     """CHSH combination S = E(1,2) + E(1',2) + E(1,2') - E(1',2') of the
     scaled correlation E(phi1, phi2) = V*cos(phi1 - phi2 + theta).
 
@@ -150,13 +150,7 @@ def scaled_chsh(v: float, theta: float, angles, m_scale: float = 1.0) -> ScaledC
     angles = tuple(float(a) for a in angles)
     if len(angles) != 4:
         raise ValueError(f"angles must be a quadruple, got {len(angles)} values")
-    return ScaledChsh(
-        visibility=v,
-        theta=theta,
-        angles=angles,
-        s_value=_chsh_combination(v, theta, angles),
-        m_scale=m_scale,
-    )
+    return ScaledChsh(v, theta, angles, _chsh_combination(v, theta, angles))
 
 
 def optimize_scaled_chsh(v: float, theta: float = 0.0) -> ScaledChsh:

@@ -17,7 +17,7 @@ weight in the sum criterion is fixed to a = 1 (symmetric modes).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .epr_model import EprParams, GaussianEprState, mu_opt
 
@@ -30,25 +30,6 @@ __all__ = [
     "classify",
     "CRITERIA_CSV_COLUMNS",
 ]
-
-# Fixed serialization order for one CSV row of a report.
-CRITERIA_CSV_COLUMNS = (
-    "r",
-    "eta",
-    "nbar",
-    "duan_sum",
-    "duan_nonseparable",
-    "mu",
-    "dx_mu_sq",
-    "dp_mu_sq",
-    "cond_var_x",
-    "cond_var_p",
-    "gg_product",
-    "gg_hi_satisfied",
-    "gg_sum_satisfied",
-    "simon_mu_nonseparable",
-    "nbar_threshold",
-)
 
 
 @dataclass(frozen=True)
@@ -81,6 +62,10 @@ class CriteriaReport:
     gg_hi_satisfied_mu1: bool
     gg_sum_mu1: float
     gg_sum_satisfied_mu1: bool
+
+
+# One CSV row of a report: every field but the mu = 1 repeats, in declaration order.
+CRITERIA_CSV_COLUMNS = tuple(f.name for f in fields(CriteriaReport) if not f.name.endswith("_mu1"))
 
 
 def duan_sum(state: GaussianEprState) -> float:

@@ -17,6 +17,8 @@ vacuum has Var(x) = Var(p) = 1/4 per mode; every threshold downstream
 
 The beam splitters are never materialized as a channel: the traced-out
 result above is the only state ever needed, so construction bakes it in.
+A :class:`GaussianEprState` is built from its :class:`EprParams` alone and
+derives the variance pair from them; no pair is ever taken from outside.
 Every library output is a closed form of the variance pair; the Wigner
 density and the second moments, which the tests check those closed forms
 against, live in ``tests/reference.py``.
@@ -26,7 +28,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -77,24 +79,23 @@ class EprParams:
 
 @dataclass(frozen=True)
 class GaussianEprState:
-    """Two-parameter Gaussian state, held as the (sigma_plus_sq, sigma_minus_sq) pair.
+    """Two-mode Gaussian state of the given knobs.
 
-    The originating :class:`EprParams` are retained: several derived reports
-    (thermal threshold, sweep rows) need (r, eta, nbar), which cannot be
-    recovered from the two variance scales alone.
+    Built from :class:`EprParams` alone; the (sigma_plus_sq, sigma_minus_sq)
+    pair is derived from them once, by :func:`sigma_pair`, so the knobs and
+    the variances cannot disagree.  The knobs are retained because several
+    derived reports (thermal threshold, sweep rows) need (r, eta, nbar),
+    which cannot be recovered from the two variance scales alone.
     """
 
-    sigma_plus_sq: float
-    sigma_minus_sq: float
     params: EprParams
+    sigma_plus_sq: float = field(init=False)
+    sigma_minus_sq: float = field(init=False)
 
     def __post_init__(self):
-        if not (self.sigma_plus_sq > 0.0 and math.isfinite(self.sigma_plus_sq)):
-            raise ValueError(f"sigma_plus_sq must be positive and finite, got {self.sigma_plus_sq}")
-        if not (self.sigma_minus_sq > 0.0 and math.isfinite(self.sigma_minus_sq)):
-            raise ValueError(f"sigma_minus_sq must be positive and finite, got {self.sigma_minus_sq}")
-        if self.sigma_plus_sq < self.sigma_minus_sq:
-            raise ValueError("sigma_plus_sq must be >= sigma_minus_sq for r >= 0")
+        sigma_plus_sq, sigma_minus_sq = sigma_pair(self.params.r, self.params.eta, self.params.nbar)
+        object.__setattr__(self, "sigma_plus_sq", float(sigma_plus_sq))
+        object.__setattr__(self, "sigma_minus_sq", float(sigma_minus_sq))
 
 
 def sigma_pair(r, eta, nbar):
@@ -110,8 +111,7 @@ def make_state(params: EprParams) -> GaussianEprState:
     For eta = 1 this reduces to the pure squeezed-vacuum pair
     (exp(2r), exp(-2r)) regardless of nbar.
     """
-    sigma_plus_sq, sigma_minus_sq = sigma_pair(params.r, params.eta, params.nbar)
-    return GaussianEprState(float(sigma_plus_sq), float(sigma_minus_sq), params)
+    return GaussianEprState(params)
 
 
 def _mu_opt(r, eta, sp, sm):

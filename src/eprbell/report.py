@@ -291,11 +291,23 @@ def _json_column(name: str, values: list) -> list:
     return list(map(_json_cell, values))
 
 
+def _json_object(pairs: list) -> dict:
+    """A JSON object's pairs as a dict; a repeated key, which the dict would hold once, raises ValueError."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        _check_columns([name for name, _ in pairs])
+    return obj
+
+
+# One decoder for every line: json.loads would build a new one per call when given a hook.
+_JSONL_DECODER = json.JSONDecoder(object_pairs_hook=_json_object)
+
+
 def table_from_jsonl(text: str) -> Table:
     lines = [line for line in text.splitlines() if line]
     if not lines:
         raise ValueError("empty JSONL input")
-    objs = [json.loads(line) for line in lines]
+    objs = list(map(_JSONL_DECODER.decode, lines))
     for index, obj in enumerate(objs, start=1):
         if not isinstance(obj, dict):
             raise ValueError(f"JSONL line {index} is not an object")

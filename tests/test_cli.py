@@ -298,6 +298,23 @@ def test_rejected_input_exits_2_with_one_error_line(tmp_path, capsys, argv, conf
             '{"fidelity": 0.6451711835524587, "beats_classical": true, "beats_two_thirds": false}\n',
         ),
         (
+            ("criteria", "--r", "0.3466", "--eta", "0.9"), 0,
+            "r,eta,nbar,duan_sum,duan_nonseparable,mu,dx_mu_sq,dp_mu_sq,cond_var_x,cond_var_p,"
+            "gg_product,gg_hi_satisfied,gg_sum_satisfied,simon_mu_nonseparable,nbar_threshold\n"
+            "0.34660000000000002,0.90000000000000002,0,0.54997623187969036,true,0.55105287770726197,"
+            "0.2132605542818975,0.2132605542818975,0.2132605542818975,0.2132605542818975,"
+            "0.045480064012622147,true,true,true,2.2501188406015489\n",
+        ),
+        (
+            ("criteria", "--r", "0.3466", "--eta", "0.9", "--json"), 0,
+            '{"r": 0.3466, "eta": 0.9, "nbar": 0.0, "duan_sum": 0.5499762318796904, "duan_nonseparable": true, '
+            '"mu": 0.551052877707262, "dx_mu_sq": 0.2132605542818975, "dp_mu_sq": 0.2132605542818975, '
+            '"cond_var_x": 0.2132605542818975, "cond_var_p": 0.2132605542818975, "gg_product": 0.04548006401262215, '
+            '"gg_hi_satisfied": true, "gg_sum_satisfied": true, "simon_mu_nonseparable": true, '
+            '"nbar_threshold": 2.250118840601549, "gg_product_mu1": 0.07561846390814574, '
+            '"gg_hi_satisfied_mu1": false, "gg_sum_mu1": 0.5499762318796904, "gg_sum_satisfied_mu1": false}\n',
+        ),
+        (
             ("bell-max", "--r", "0.3466", "--eta", "0.9"), 0,
             "j_max=0.089060507855922982\nb_max=2.0094384374552408\nviolates=true\n",
         ),
@@ -320,7 +337,7 @@ def test_rejected_input_exits_2_with_one_error_line(tmp_path, capsys, argv, conf
             "abs_error=0.00021211128411602331\nband_3se=0.0016442025901085284\nresult=PASS\n",
         ),
     ],
-    ids=["fidelity", "fidelity-json", "bell-max", "chsh", "oracle", "oracle-4-blocks"],
+    ids=["fidelity", "fidelity-json", "criteria", "criteria-json", "bell-max", "chsh", "oracle", "oracle-4-blocks"],
 )
 def test_single_result_stdout_is_pinned(monkeypatch, capsys, argv, code, expected):
     monkeypatch.setattr(eprbell.oracle, "_worker_count", lambda: 2)
@@ -364,3 +381,15 @@ def test_cli_import_leaves_scipy_unloaded():
     code = "import sys, eprbell, eprbell.cli; print('scipy' in sys.modules)"
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert done.stdout.strip() == "False"
+
+
+def test_make_figures_writes_what_the_figure_subcommands_print(tmp_path, capsys):
+    root = Path(eprbell.__file__).resolve().parents[2]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    done = subprocess.run([sys.executable, str(root / "scripts" / "make_figures.py"), "--out-dir", str(tmp_path)],
+                          env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    for name in ("fig1", "fig2", "fig3", "fig4"):
+        code, out, _ = run(capsys, name)
+        assert code == 0
+        assert (tmp_path / f"{name}.csv").read_bytes() == out.encode()

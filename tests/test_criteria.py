@@ -210,6 +210,7 @@ def test_outputs_match_the_mpmath_reference_over_the_whole_domain(r, eta, nbar):
     import mpmath
 
     s = state(r, eta, nbar)
+    assert 0 < s.sigma_minus_sq <= s.sigma_plus_sq < math.inf
     rep, fid, bell = classify(s), fidelity(s), maximize_b(s)
     for field in dataclasses.fields(rep):
         assert math.isfinite(getattr(rep, field.name)) or (field.name == "nbar_threshold" and eta == 1.0)

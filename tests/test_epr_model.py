@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eprbell import EprParams, OracleConfig, fidelity, make_state, maximize_b, mu_opt
+from eprbell import EprParams, GaussianEprState, OracleConfig, fidelity, make_state, maximize_b, mu_opt, sigma_pair
 from reference import exact, reference_samples, second_moments, wigner
 
 LN2_HALF = math.log(2.0) / 2.0
@@ -240,8 +240,16 @@ def test_purity_boundary():
             assert mixed.sigma_plus_sq * mixed.sigma_minus_sq > 1.0 + 1e-9
 
 
-def test_state_ordering_validation():
-    with pytest.raises(ValueError):
-        from eprbell import GaussianEprState
+def test_state_takes_no_variance_pair_from_outside():
+    # The pair (2, 0.5) belongs to r = ln2/2, not to these knobs' r = 0.
+    with pytest.raises(TypeError):
+        GaussianEprState(2.0, 0.5, EprParams(0.0, 1.0))
+    with pytest.raises(TypeError):
+        GaussianEprState(EprParams(0.0, 1.0), sigma_plus_sq=2.0, sigma_minus_sq=0.5)
 
-        GaussianEprState(0.5, 2.0, EprParams(1.0, 1.0))
+
+@given(params_st)
+def test_state_derives_its_variance_pair_from_its_knobs(params):
+    s = GaussianEprState(params)
+    assert (s.sigma_plus_sq, s.sigma_minus_sq) == sigma_pair(params.r, params.eta, params.nbar)
+    assert make_state(params) == s

@@ -336,15 +336,16 @@ def test_writers_reject_column_names_that_cannot_round_trip(columns, bad):
 
 
 # The writers' rejected names, as text that carries them.  A CSV header cannot hold a comma,
-# a line break or a lone empty name, and a JSON object keeps one of repeated keys.
+# a line break or a lone empty name; a JSON object can repeat a key.
 @pytest.mark.parametrize(
     "read, text, bad",
     [(table_from_csv, "a,a\n0,1\n", "a"), (table_from_csv, "x,\n0,1\n", ""), (table_from_csv, ",b\n1,2\n", ""),
      (table_from_jsonl, '{"": 0}\n', ""), (table_from_jsonl, '{"x": 0, "": 1}\n', ""),
      (table_from_jsonl, '{"a,b": 0}\n', "a,b"), (table_from_jsonl, '{"a\\nb": 0}\n', "a\nb"),
-     (table_from_jsonl, '{"a\\r": 0}\n', "a\r"), (table_from_jsonl, '{"a\\u0085": 0}\n', "a\x85")],
+     (table_from_jsonl, '{"a\\r": 0}\n', "a\r"), (table_from_jsonl, '{"a\\u0085": 0}\n', "a\x85"),
+     (table_from_jsonl, '{"a": 1, "a": true}\n', "a")],
     ids=["csv-repeated", "csv-empty", "csv-empty-first", "jsonl-empty-only", "jsonl-empty", "jsonl-comma",
-         "jsonl-newline", "jsonl-carriage-return", "jsonl-next-line"],
+         "jsonl-newline", "jsonl-carriage-return", "jsonl-next-line", "jsonl-repeated"],
 )
 def test_readers_reject_column_names_that_cannot_round_trip(read, text, bad):
     with pytest.raises(ValueError, match=f"column name {re.escape(repr(bad))}"):
