@@ -130,12 +130,6 @@ def loss_bound_ok(params: EprParams) -> bool:
     return bool(_loss_bound(params.r, params.eta))
 
 
-def _chsh_combination(v: float, theta: float, angles) -> float:
-    phi1, phi1p, phi2, phi2p = (float(a) for a in angles)
-    e = lambda a, b: v * math.cos(a - b + theta)
-    return e(phi1, phi2) + e(phi1p, phi2) + e(phi1, phi2p) - e(phi1p, phi2p)
-
-
 def scaled_chsh(v: float, theta: float, angles) -> ScaledChsh:
     """CHSH combination S = E(1,2) + E(1',2) + E(1,2') - E(1',2') of the
     scaled correlation E(phi1, phi2) = V*cos(phi1 - phi2 + theta).
@@ -150,7 +144,9 @@ def scaled_chsh(v: float, theta: float, angles) -> ScaledChsh:
     angles = tuple(float(a) for a in angles)
     if len(angles) != 4:
         raise ValueError(f"angles must be a quadruple, got {len(angles)} values")
-    return ScaledChsh(v, theta, angles, _chsh_combination(v, theta, angles))
+    phi1, phi1p, phi2, phi2p = angles
+    e = lambda a, b: v * math.cos(a - b + theta)
+    return ScaledChsh(v, theta, angles, e(phi1, phi2) + e(phi1p, phi2) + e(phi1, phi2p) - e(phi1p, phi2p))
 
 
 def optimize_scaled_chsh(v: float, theta: float = 0.0) -> ScaledChsh:

@@ -98,12 +98,18 @@ def mu_variances(state: GaussianEprState, mu: float) -> tuple[float, float]:
     Evaluated as [sp*(1-mu)^2 + sm*(1+mu)^2]/8, which is algebraically equal
     to var*(1+mu^2) - 2*mu*cov but free of the cancellation that form
     suffers at large squeezing.  The two sectors coincide by symmetry.
+    A mu for which the weighted sum overflows raises ValueError.
     """
     if not math.isfinite(mu):
         raise ValueError(f"mu must be finite, got {mu!r}")
-    var = (
-        state.sigma_plus_sq * (1.0 - mu) ** 2 + state.sigma_minus_sq * (1.0 + mu) ** 2
-    ) / 8.0
+    try:
+        var = (
+            state.sigma_plus_sq * (1.0 - mu) ** 2 + state.sigma_minus_sq * (1.0 + mu) ** 2
+        ) / 8.0
+    except OverflowError:  # (1 -+ mu)**2 beyond the float range
+        var = math.inf
+    if var == math.inf:
+        raise ValueError(f"mu = {mu!r} makes the gain-mu variances overflow")
     return var, var
 
 
@@ -128,7 +134,9 @@ def classify(state: GaussianEprState, mu: float | None = None) -> CriteriaReport
     variances always refer to optimal inference regardless of ``mu``.  At
     the optimal gain they are also the gain-mu error variances, and are
     reported as such: :func:`mu_variances` would scale the rounding error
-    of mu by sp, which at large r outgrows the variances themselves.
+    of mu by sp, which at large r outgrows the variances themselves.  An
+    explicit ``mu`` for which ``gg_product`` overflows raises ValueError;
+    under the nbar bound no field at the optimal gain or at mu = 1 can.
     """
     params = state.params
     d_sum = duan_sum(state)
@@ -139,6 +147,8 @@ def classify(state: GaussianEprState, mu: float | None = None) -> CriteriaReport
     else:
         dx_mu_sq, dp_mu_sq = mu_variances(state, mu)
     gg_product = dx_mu_sq * dp_mu_sq
+    if gg_product == math.inf:
+        raise ValueError(f"mu = {mu!r} makes gg_product overflow")
     gg_sum = dx_mu_sq + dp_mu_sq
 
     dx1_sq, dp1_sq = mu_variances(state, 1.0)

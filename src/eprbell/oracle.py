@@ -60,14 +60,15 @@ _POOL_BLOCKS = 16  # a call of fewer blocks (~1e6 samples, ~0.1 s) runs inline
 
 @dataclass(frozen=True)
 class OracleConfig:
-    """Sample count and the 64-bit seed of the deterministic stream."""
+    """Sample count (at least 2, to form a standard error) and the 64-bit seed
+    of the deterministic stream."""
 
     samples: int
     seed: int
 
     def __post_init__(self):
-        if not isinstance(self.samples, int) or isinstance(self.samples, bool) or self.samples < 1:
-            raise ValueError(f"samples must be an integer >= 1, got {self.samples!r}")
+        if not isinstance(self.samples, int) or isinstance(self.samples, bool) or self.samples < 2:
+            raise ValueError(f"samples must be an integer >= 2, got {self.samples!r}")
         if not isinstance(self.seed, int) or isinstance(self.seed, bool) or not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
 
@@ -157,8 +158,6 @@ def mc_fidelity(state: GaussianEprState, config: OracleConfig) -> OracleEstimate
     Rebuilding them from the modes would cancel once sp/sm nears 2**52.
     Samples are reduced block by block and never held all at once.
     """
-    if config.samples < 2:
-        raise ValueError("mc_fidelity needs samples >= 2 to form a standard error")
     blocks = _map_blocks(lambda start: _fidelity_block(state, config, start), config.samples)
     count, mean, m2 = 0, 0.0, 0.0
     for n, _, _, block_mean, block_m2 in blocks:

@@ -19,10 +19,12 @@ order and Python float/bool cells.  Tables are written as CSV (header row,
 17 significant digits, "inf" for unbounded values) or JSON lines by one
 per-column codec, which the CLI's ``name=value`` lines share: a bool
 column is true/false, any other column floats, and a column mixing bools
-with numbers raises ValueError.  The codec formats each distinct value of
-a column (by float64 bit pattern) once, and builds every JSONL row from
-one template per table.  Readers and writers alike reject column names
-that would not read back: repeated, empty, or holding a comma or line break.
+with numbers raises ValueError.  The readers apply the same rule to each
+whole column: a CSV column reads as booleans only when every cell is
+true/false.  The codec formats each distinct value of a column (by float64
+bit pattern) once, and builds every JSONL row from one template per table.
+Readers and writers alike reject column names that would not read back:
+repeated, empty, or holding a comma or line break.
 """
 
 from __future__ import annotations
@@ -235,12 +237,11 @@ def _text_columns(table: Table, json_form: bool) -> list[list[str]]:
     return [column_text(name, values, json_form) for name, values in zip(table.columns, zip(*table.rows))]
 
 
-def _parse_column(texts, bools: bool) -> list:
-    """One CSV column's cells: all true/false in a bool column (one whose first cell is),
-    else floats, so float() rejects a column mixing the two in any chunk of rows."""
-    if bools and set(texts) <= set(_BOOL_TEXT):
-        return [text == "true" for text in texts]
-    return list(map(float, texts))
+def _parse_column(name: str, texts) -> list:
+    """One CSV column's cells by the writers' rule: booleans when every cell is
+    true/false, else floats; a column mixing the two raises ValueError."""
+    cells = [text == "true" if text in _BOOL_TEXT else text for text in texts]
+    return cells if _bool_column(name, cells) else list(map(float, cells))
 
 
 def table_to_csv(table: Table) -> str:
@@ -248,25 +249,16 @@ def table_to_csv(table: Table) -> str:
     return "\n".join([",".join(table.columns), *rows]) + "\n"
 
 
-# Rows parsed per pass over whole columns: only their cell strings are alive at once.
-_CSV_CHUNK = 256
-
-
 def table_from_csv(text: str) -> Table:
-    lines = [line for line in text.splitlines() if line]
+    lines = [line.split(",") for line in text.splitlines() if line]
     if not lines:
         raise ValueError("empty CSV input")
-    columns = tuple(lines[0].split(","))
+    columns, rows = tuple(lines[0]), lines[1:]
     _check_columns(columns)
-    bools = [cell in _BOOL_TEXT for cell in lines[1].split(",")] if len(lines) > 1 else []
-    rows = []
-    for first in range(1, len(lines), _CSV_CHUNK):
-        cells = [line.split(",") for line in lines[first:first + _CSV_CHUNK]]
-        for index, row in enumerate(cells, start=first):
-            if len(row) != len(columns):
-                raise ValueError(f"CSV row {index} has {len(row)} cells, header has {len(columns)}")
-        rows.extend(zip(*map(_parse_column, zip(*cells), bools)))
-    return Table(columns=columns, rows=tuple(rows))
+    for index, row in enumerate(rows, start=1):
+        if len(row) != len(columns):
+            raise ValueError(f"CSV row {index} has {len(row)} cells, header has {len(columns)}")
+    return Table(columns=columns, rows=tuple(zip(*map(_parse_column, columns, zip(*rows)))))
 
 
 def table_to_jsonl(table: Table) -> str:

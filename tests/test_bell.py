@@ -213,6 +213,12 @@ def test_scaled_chsh_experimental_anchor():
     assert result.s_value == pytest.approx(2.46, abs=1e-12)
 
 
+def test_scaled_chsh_rejects_anything_but_four_angles():
+    for angles in ((0.0, 1.0, 2.0), (0.0, 1.0, 2.0, 3.0, 4.0)):
+        with pytest.raises(ValueError, match="quadruple"):
+            scaled_chsh(0.9, 0.0, angles)
+
+
 def test_scaled_chsh_rejects_bad_visibility():
     for v in (-0.1, 1.1, math.nan):
         with pytest.raises(ValueError):

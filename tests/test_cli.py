@@ -265,13 +265,16 @@ def test_shared_config_accepted_by_every_figure(tmp_path, capsys, figure):
         (("chsh", "--visibility", "0.9", "--theta", "nan"), None, "theta"),
         (("fidelity", "--r", "0", "--eta", "0.5", "--nbar", "1e308"), None, "nbar "),
         (("fig1", "--nbar", "1e308", "--etas", "0.5"), None, "nbar "),
+        (("criteria", "--r", "1", "--eta", "0.9", "--mu", "1e160"), None, "mu "),
+        (("criteria", "--r", "354", "--eta", "1", "--mu", "0"), None, "mu "),
+        (("oracle", "--r", "0.5", "--eta", "0.9", "--samples", "1", "--seed", "1"), None, "samples must be an integer >= 2"),
     ],
     ids=[
         "fidelity-overflow-r", "fig1-overflow-r_max", "fig2-empty-etas", "fig2-empty-eta_list",
         "fig1-scalar-eta_list", "fig2-scalar-eta_list", "fig1-null-eta_list", "fig2-null-eta_list",
         "fig3-unknown-key", "fig2-unknown-key", "fig1-fractional-r_count", "fig4-boolean-eta",
         "fig1-string-r_list", "fig2-float-j_count", "chsh-nan-theta", "fidelity-huge-nbar",
-        "fig1-huge-nbar",
+        "fig1-huge-nbar", "criteria-huge-mu", "criteria-mu-gg-product-overflow", "oracle-one-sample",
     ],
 )
 def test_rejected_input_exits_2_with_one_error_line(tmp_path, capsys, argv, config, names):

@@ -58,6 +58,8 @@ def test_eta_one_ignores_nbar():
         (dict(r=1.0, eta=0.5, nbar=math.nan), "nbar"),
         (dict(r=400.0, eta=0.9), "r"),
         (dict(r=1.0, eta=0.5, nbar=1e300), "nbar"),
+        (dict(r="x", eta=0.5), "r must be a real number"),
+        (dict(r=None, eta=0.5), "r must be a real number"),
     ],
 )
 def test_params_validation_names_field(kwargs, field):

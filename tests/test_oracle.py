@@ -20,7 +20,7 @@ def state(r, eta, nbar=0.0):
 
 @pytest.mark.parametrize(
     "samples, seed",
-    [(0, 1), (-5, 1), (2.5, 1), (10, -1), (10, 2**64), (10, 1.5)],
+    [(0, 1), (1, 1), (-5, 1), (2.5, 1), (10, -1), (10, 2**64), (10, 1.5)],
 )
 def test_config_validation(samples, seed):
     with pytest.raises(ValueError):

@@ -49,6 +49,8 @@ def test_spec_validation():
         SweepSpec(r_grid=(0.5,), nbar=-1.0)
     with pytest.raises(ValueError, match="overflow"):
         SweepSpec(r_grid=(400.0,))  # beyond the overflow edge of EprParams
+    with pytest.raises(ValueError, match="r_count"):
+        SweepSpec.from_range(0.0, 1.0, 0)
 
 
 def test_spec_from_range():
@@ -303,11 +305,15 @@ def test_csv_reads_mixed_and_foreign_columns_cell_by_cell():
         table_from_csv("a\n1\nyes\n")
 
 
-@pytest.mark.parametrize("first, later", [("true", "0.5"), ("0.5", "true")])
-def test_readers_reject_columns_mixing_booleans_with_numbers(first, later):
-    # The CSV reader parses chunks of rows; a column must not be bools in one chunk and floats in the next.
-    with pytest.raises(ValueError, match="could not convert"):
-        table_from_csv("a\n" + f"{first}\n" * 300 + f"{later}\n")
+@pytest.mark.parametrize(
+    "first, later, count",
+    [("true", "0.5", 300), ("0.5", "true", 300), ("true", "0.5", 256)],
+    ids=["true-0.5", "0.5-true", "256-true-then-0.5"],
+)
+def test_readers_reject_columns_mixing_booleans_with_numbers(first, later, count):
+    # The CSV reader types each column from all of its cells, however far down the one odd cell sits.
+    with pytest.raises(ValueError, match="'a' mixes booleans"):
+        table_from_csv("a\n" + f"{first}\n" * count + f"{later}\n")
     with pytest.raises(ValueError, match="'a' mixes booleans"):
         table_from_jsonl(f'{{"a": {first}}}\n{{"a": {later}}}\n')
 
@@ -361,6 +367,12 @@ def test_csv_rejects_ragged_rows():
     for text in ("a,b\n1,2,3\n4\n", "a,b\n1,2\n4\n", "a,b\n1,2,3\n"):
         with pytest.raises(ValueError, match="header"):
             table_from_csv(text)
+
+
+@pytest.mark.parametrize("read, text", [(table_from_csv, ""), (table_from_jsonl, "\n")], ids=["csv", "jsonl"])
+def test_readers_reject_empty_input(read, text):
+    with pytest.raises(ValueError, match="empty"):
+        read(text)
 
 
 def test_jsonl_rejects_mismatched_keys():
