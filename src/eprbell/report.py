@@ -21,8 +21,11 @@ per-column codec, which the CLI's ``name=value`` lines share: a bool
 column is true/false, any other column floats, and a column mixing bools
 with numbers raises ValueError.  The readers apply the same rule to each
 whole column: a CSV column reads as booleans only when every cell is
-true/false.  The codec formats each distinct value of a column (by float64
-bit pattern) once, and builds every JSONL row from one template per table.
+true/false, and its float cells must be spelled as the writers spell them
+(a decimal or exponent number, inf, -inf or nan); JSONL takes NaN but not
+Infinity, which the writers never write.  The codec formats each distinct
+value of a column (by float64 bit pattern) once, and builds every JSONL
+row from one template per table.
 Readers and writers alike reject column names that would not read back:
 repeated, empty, or holding a comma or line break.
 """
@@ -31,6 +34,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -237,11 +241,22 @@ def _text_columns(table: Table, json_form: bool) -> list[list[str]]:
     return [column_text(name, values, json_form) for name, values in zip(table.columns, zip(*table.rows))]
 
 
+# A float cell as the writers spell it: a decimal or exponent number, inf, -inf or nan.
+_CSV_FLOAT = re.compile(r"-?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|-?inf|nan")
+
+
 def _parse_column(name: str, texts) -> list:
     """One CSV column's cells by the writers' rule: booleans when every cell is
-    true/false, else floats; a column mixing the two raises ValueError."""
+    true/false, else floats; a column mixing the two, or holding a float cell
+    in another spelling than the writers' (such as '1_000', ' 2.5 ' or
+    'Infinity', which float() would take), raises ValueError."""
     cells = [text == "true" if text in _BOOL_TEXT else text for text in texts]
-    return cells if _bool_column(name, cells) else list(map(float, cells))
+    if _bool_column(name, cells):
+        return cells
+    if not all(map(_CSV_FLOAT.fullmatch, texts)):
+        bad = next(text for text in texts if not _CSV_FLOAT.fullmatch(text))
+        raise ValueError(f"column {name!r} holds {bad!r}, not a number, inf, -inf or nan")
+    return list(map(float, texts))
 
 
 def table_to_csv(table: Table) -> str:
@@ -291,8 +306,15 @@ def _json_object(pairs: list) -> dict:
     return obj
 
 
+def _json_constant(token: str) -> float:
+    """NaN, as json.dumps writes it; the writers spell infinity "inf"/"-inf", never Infinity."""
+    if token != "NaN":
+        raise ValueError(f'JSONL token {token} is not a number, a boolean, "inf" or "-inf"')
+    return math.nan
+
+
 # One decoder for every line: json.loads would build a new one per call when given a hook.
-_JSONL_DECODER = json.JSONDecoder(object_pairs_hook=_json_object)
+_JSONL_DECODER = json.JSONDecoder(object_pairs_hook=_json_object, parse_constant=_json_constant)
 
 
 def table_from_jsonl(text: str) -> Table:

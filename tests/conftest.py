@@ -11,7 +11,7 @@ settings.load_profile("eprbell")
 
 @pytest.fixture(autouse=True)
 def no_thread_outlives_the_test():
-    """Every thread a test starts, an oracle pool's included, is joined by its end."""
+    """Every thread a test starts is joined by its end."""
     before = set(threading.enumerate())
     yield
     assert set(threading.enumerate()) <= before

@@ -7,8 +7,8 @@ written out directly, so that the tests can compare the two:
 * the Wigner density of the two-mode state, the displaced-parity
   correlation Pi = (pi^2/4) W and the four-term CHSH combination B(J);
 * the per-mode second moments;
-* the per-mode sampler, materialising the oracle's documented stream in one
-  draw;
+* the oracle's documented stream materialised in one draw, and a per-mode
+  sampler that solves four Gaussian factors for (x1, p1, x2, p2);
 * :func:`exact`, a 50-digit mpmath evaluation of every scalar output.
 """
 
@@ -61,9 +61,16 @@ def second_moments(state):
     return SecondMoments(var_x=var, var_p=var, cov_xx=cov, cov_pp=-cov)
 
 
+def reference_exponentials(config):
+    """The oracle's documented stream, materialised at once: one draw of N
+    uniforms v, mapped to the unit exponentials t = -log1p(-v); sample i has
+    noise_sq = sigma_minus_sq * t[i]."""
+    return -np.log1p(-np.random.default_rng(config.seed).random(config.samples))
+
+
 def reference_factors(state, config):
-    """The documented stream, materialised at once: one (4, N) draw, then ndtri,
-    each factor (x1+x2, x1-x2, p1-p2, p1+p2) scaled to its variance."""
+    """Four Gaussian factors (x1+x2, x1-x2, p1-p2, p1+p2), each scaled to its
+    variance: one (4, N) integer draw from the seed's stream, then ndtri."""
     k = np.random.default_rng(config.seed).integers(
         0, 1 << 53, size=(4, config.samples), dtype=np.uint64
     )
@@ -73,7 +80,7 @@ def reference_factors(state, config):
 
 
 def reference_samples(state, config):
-    """(N, 4) rows of (x1, p1, x2, p2), solved from the factors of the stream."""
+    """(N, 4) rows of (x1, p1, x2, p2), solved from reference_factors."""
     sum_x, diff_x, diff_p, sum_p = reference_factors(state, config)
     return np.stack(
         [(sum_x + diff_x) / 2.0, (sum_p + diff_p) / 2.0,

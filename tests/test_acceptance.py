@@ -176,11 +176,11 @@ def test_criterion_10_monte_carlo_agreement():
             nbar=float(rng.uniform(0.0, 0.5)),
         )
         s = make_state(params)
-        est = mc_fidelity(s, OracleConfig(samples=1_000_000, seed=1000 + i))
+        est = mc_fidelity(s, OracleConfig(samples=1_000_000, seed=2000 + i))
         assert abs(est.fidelity_hat - fidelity(s).fidelity) <= 3.0 * est.std_error
         estimates.append((params, est))
     params0, est0 = estimates[0]
-    repeat = mc_fidelity(make_state(params0), OracleConfig(samples=1_000_000, seed=1000))
+    repeat = mc_fidelity(make_state(params0), OracleConfig(samples=1_000_000, seed=2000))
     assert repeat == est0
     done(10, "Monte-Carlo fidelity within 3 standard errors, reproducible")
 

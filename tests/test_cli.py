@@ -10,7 +10,7 @@ import pytest
 from eprbell.cli import main
 from eprbell.report import DEFAULT_ETAS
 import eprbell
-from eprbell import EprParams, b_of_j, make_state, table_from_csv
+from eprbell import EprParams, OracleEstimate, b_of_j, duan_sum, fidelity, make_state, table_from_csv
 
 LN2_HALF = math.log(2.0) / 2.0
 
@@ -132,11 +132,15 @@ def test_oracle_pass(capsys):
     assert float(kv["abs_error"]) <= float(kv["band_3se"])
 
 
-def test_oracle_fail_exit_code(capsys):
-    # seed 298 lands outside the 3-standard-error band at this sample size
+def test_oracle_fail_exit_code(monkeypatch, capsys):
+    # an estimate 4 standard errors from the analytic value fails the 3-SE band
+    def off_by_four_se(state, config):
+        return OracleEstimate(fidelity(state).fidelity + 4.0e-3, 1.0e-3, duan_sum(state))
+
+    monkeypatch.setattr(eprbell.cli, "mc_fidelity", off_by_four_se)
     code, out, _ = run(
         capsys, "oracle", "--r", "0.5", "--eta", "0.9",
-        "--samples", "2000", "--seed", "298",
+        "--samples", "2000", "--seed", "1",
     )
     assert code == 1
     assert parse_kv(out)["result"] == "FAIL"
@@ -329,41 +333,39 @@ def test_rejected_input_exits_2_with_one_error_line(tmp_path, capsys, argv, conf
         ),
         (
             ("oracle", "--r", "0.3466", "--eta", "0.9", "--samples", "20000", "--seed", "3"), 0,
-            "fidelity_hat=0.6428164649424214\nstd_error=0.0017318328041104184\n"
-            "duan_sum_hat=0.5557410512158536\nanalytic_fidelity=0.64517118355245873\n"
-            "abs_error=0.0023547186100373318\nband_3se=0.0051954984123312557\nresult=PASS\n",
+            "fidelity_hat=0.64622044870538908\nstd_error=0.0017305701344212466\n"
+            "duan_sum_hat=0.54710424279311864\nanalytic_fidelity=0.64517118355245873\n"
+            "abs_error=0.0010492651529303565\nband_3se=0.0051917104032637397\nresult=PASS\n",
         ),
         (
             ("oracle", "--r", "0.3466", "--eta", "0.9", "--samples", "200003", "--seed", "3"), 0,
-            "fidelity_hat=0.64538329483657475\nstd_error=0.00054806753003617615\n"
-            "duan_sum_hat=0.55007063631521969\nanalytic_fidelity=0.64517118355245873\n"
-            "abs_error=0.00021211128411602331\nband_3se=0.0016442025901085284\nresult=PASS\n",
+            "fidelity_hat=0.64497977214588287\nstd_error=0.00054732275566043618\n"
+            "duan_sum_hat=0.54984258898229355\nanalytic_fidelity=0.64517118355245873\n"
+            "abs_error=0.00019141140657585876\nband_3se=0.0016419682669813085\nresult=PASS\n",
         ),
     ],
     ids=["fidelity", "fidelity-json", "criteria", "criteria-json", "bell-max", "chsh", "oracle", "oracle-4-blocks"],
 )
-def test_single_result_stdout_is_pinned(monkeypatch, capsys, argv, code, expected):
-    monkeypatch.setattr(eprbell.oracle, "_worker_count", lambda: 2)
-    monkeypatch.setattr(eprbell.oracle, "_POOL_BLOCKS", 2)  # the 4-block oracle call runs on the thread pool
+def test_single_result_stdout_is_pinned(capsys, argv, code, expected):
     assert run(capsys, *argv) == (code, expected, "")
 
 
 def test_one_block_oracle_and_sweeps_start_no_thread():
-    # A one-block oracle call runs inline, and sweeps never use the oracle's threads.
+    # Oracle calls of one block and of 16 blocks run inline, and sweeps start no thread either.
     env = dict(os.environ, PYTHONPATH=str(Path(eprbell.__file__).resolve().parents[1]))
     code = (
-        "import contextlib, io, threading, eprbell.cli, eprbell.oracle\n"
-        "eprbell.oracle._worker_count = lambda: 3\n"
+        "import contextlib, io, threading, eprbell.cli\n"
         "started = []\n"
         "start = threading.Thread.start\n"
         "threading.Thread.start = lambda thread: started.append(thread) or start(thread)\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    codes = [eprbell.cli.main(['oracle', '--r', '0.5', '--eta', '0.9', '--samples', '10000', '--seed', '1']),\n"
+        "             eprbell.cli.main(['oracle', '--r', '0.5', '--eta', '0.9', '--samples', str(16 * 2**16), '--seed', '1']),\n"
         "             eprbell.cli.main(['fig4'])]\n"
         "print(codes, len(started))"
     )
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert done.stdout.strip() == "[0, 0] 0"
+    assert done.stdout.strip() == "[0, 0, 0] 0"
 
 
 def test_b_of_j_at_the_overflow_edge_warns_nothing(tmp_path, capsys):
@@ -380,10 +382,20 @@ def test_b_of_j_at_the_overflow_edge_warns_nothing(tmp_path, capsys):
 
 
 def test_cli_import_leaves_scipy_unloaded():
+    # scipy is a test dependency only: no command imports it.
     env = dict(os.environ, PYTHONPATH=str(Path(eprbell.__file__).resolve().parents[1]))
-    code = "import sys, eprbell, eprbell.cli; print('scipy' in sys.modules)"
+    code = (
+        "import contextlib, io, sys, eprbell.cli\n"
+        "state = ['--r', '0.5', '--eta', '0.9']\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [eprbell.cli.main(argv) for argv in (\n"
+        "        ['fidelity', *state], ['criteria', *state], ['bell-max', *state], ['chsh', '--visibility', '0.87'],\n"
+        "        ['bell-scan', *state, '--j-min', '0', '--j-max', '1', '--points', '5'], ['fig4'],\n"
+        "        ['oracle', *state, '--samples', '10000', '--seed', '1'])]\n"
+        "print(codes, 'scipy' in sys.modules)"
+    )
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert done.stdout.strip() == "False"
+    assert done.stdout.strip() == "[0, 0, 0, 0, 0, 0, 0] False"
 
 
 def test_make_figures_writes_what_the_figure_subcommands_print(tmp_path, capsys):

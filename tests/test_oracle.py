@@ -9,7 +9,7 @@ import pytest
 from eprbell import EprParams, OracleConfig, duan_sum, fidelity, make_state, mc_fidelity
 from eprbell import oracle
 from eprbell.oracle import BLOCK
-from reference import reference_factors, reference_samples
+from reference import reference_exponentials, reference_samples
 
 LN2_HALF = math.log(2.0) / 2.0
 
@@ -27,12 +27,14 @@ def test_config_validation(samples, seed):
         OracleConfig(samples=samples, seed=seed)
 
 
+def block(s, config, start=0):
+    return oracle._block(s, config, start, np.empty(BLOCK))
+
+
 def test_sampling_is_deterministic():
     s = state(0.6, 0.8, 0.2)
     config = OracleConfig(samples=10_000, seed=987654321)
-    a = oracle._block(s, config, 0).copy()  # the next block overwrites the view
-    b = oracle._block(s, config, 0)
-    np.testing.assert_array_equal(a, b)
+    np.testing.assert_array_equal(block(s, config), block(s, config))
     ea = mc_fidelity(s, config)
     eb = mc_fidelity(s, config)
     assert ea == eb
@@ -40,15 +42,16 @@ def test_sampling_is_deterministic():
 
 def test_different_seeds_differ():
     s = state(0.6, 0.8)
-    a = oracle._block(s, OracleConfig(samples=1000, seed=1), 0).copy()
-    b = oracle._block(s, OracleConfig(samples=1000, seed=2), 0)
+    a = block(s, OracleConfig(samples=1000, seed=1))
+    b = block(s, OracleConfig(samples=1000, seed=2))
     assert not np.array_equal(a, b)
 
 
 def test_sample_shape_and_finiteness():
-    noise = oracle._block(state(1.0, 0.5, 0.3), OracleConfig(samples=5000, seed=3), 0)
-    assert noise.shape == (2, 5000)
-    assert np.all(np.isfinite(noise))
+    noise_sq = block(state(1.0, 0.5, 0.3), OracleConfig(samples=5000, seed=3))
+    assert noise_sq.shape == (5000,)
+    assert np.all(np.isfinite(noise_sq))
+    assert np.all(noise_sq >= 0.0)
 
 
 def test_difference_quadrature_variance():
@@ -116,11 +119,10 @@ def test_mc_fidelity_needs_two_samples():
 def test_streamed_blocks_match_the_single_draw(samples):
     s = state(0.8, 0.85, 0.1)
     config = OracleConfig(samples=samples, seed=2**63 + 2**40 + 17)
-    factors = reference_factors(s, config)
+    noise_sq = s.sigma_minus_sq * reference_exponentials(config)
     for start in range(0, samples, BLOCK):
-        np.testing.assert_array_equal(oracle._block(s, config, start), factors[[1, 3], start:start + BLOCK])
+        np.testing.assert_array_equal(block(s, config, start), noise_sq[start:start + BLOCK])
 
-    noise_sq = factors[1] ** 2 + factors[3] ** 2
     f_samples = np.exp(-noise_sq)
     est = mc_fidelity(s, config)
     assert est.fidelity_hat == pytest.approx(float(np.mean(f_samples)), rel=1e-14, abs=0.0)
@@ -129,47 +131,66 @@ def test_streamed_blocks_match_the_single_draw(samples):
     assert est.std_error == pytest.approx(se, rel=1e-6, abs=0.0)
 
 
-@pytest.mark.parametrize("samples", [2, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7])
-def test_results_are_bit_identical_for_any_worker_count(monkeypatch, samples):
-    s = state(0.8, 0.85, 0.1)
-    config = OracleConfig(samples=samples, seed=2**63 + 2**40 + 17)
-    monkeypatch.setattr(oracle, "_POOL_BLOCKS", 2)  # every multi-block call runs on the pool
-    results = []
+def _calls_on_threads(s, config, threads):
+    """mc_fidelity(s, config) on that many threads at once, switching the GIL
+    between them as often as possible."""
+    results = [None] * threads
+    barrier = threading.Barrier(threads)
+
+    def call(k):
+        barrier.wait()
+        results[k] = mc_fidelity(s, config)
+
     interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # hand the GIL between the block threads as often as possible
+    sys.setswitchinterval(1e-6)
     try:
-        for workers in (1, 2, 3):
-            monkeypatch.setattr(oracle, "_worker_count", lambda: workers)
-            results.append(mc_fidelity(s, config))
+        workers = [threading.Thread(target=call, args=(k,)) for k in range(threads)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
     finally:
         sys.setswitchinterval(interval)
-    assert all(estimate == results[0] for estimate in results)
+    assert not any(worker.is_alive() for worker in workers)
+    return results
 
 
-def test_only_calls_of_many_blocks_use_the_pool(monkeypatch):
-    monkeypatch.setattr(oracle, "_worker_count", lambda: 2)
-    started = []
-    start = threading.Thread.start
-    monkeypatch.setattr(threading.Thread, "start", lambda thread: started.append(thread) or start(thread))
-    s = state(0.6, 0.8, 0.2)
-    mc_fidelity(s, OracleConfig(samples=(oracle._POOL_BLOCKS - 1) * BLOCK, seed=5))
-    assert started == []
-    mc_fidelity(s, OracleConfig(samples=(oracle._POOL_BLOCKS - 1) * BLOCK + 1, seed=5))
-    assert len(started) == 2  # min(workers, blocks); the second starts long before the first block ends
-
-
-def test_thread_count_follows_cpu_affinity(monkeypatch):
-    s = state(0.6, 0.8, 0.2)
-    config = OracleConfig(samples=oracle._POOL_BLOCKS * BLOCK, seed=9)
-    monkeypatch.setattr(oracle.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+@pytest.mark.parametrize("samples", [2, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7])
+def test_results_are_bit_identical_for_any_worker_count(samples):
+    # Each call draws into a buffer of its own, so calls from concurrent
+    # threads neither share nor overwrite each other's blocks.
+    s = state(0.8, 0.85, 0.1)
+    config = OracleConfig(samples=samples, seed=2**63 + 2**40 + 17)
     inline = mc_fidelity(s, config)
-    monkeypatch.setattr(oracle.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-    assert oracle._worker_count() == 3
-    started = []
-    start = threading.Thread.start
-    monkeypatch.setattr(threading.Thread, "start", lambda thread: started.append(thread) or start(thread))
-    assert mc_fidelity(s, config) == inline
-    assert len(started) == 3  # min(CPUs, blocks)
+    for threads in (2, 3):
+        assert _calls_on_threads(s, config, threads) == [inline] * threads
+
+
+@pytest.mark.parametrize(
+    "r, eta, nbar",
+    [(0.0, 1.0, 0.0), (0.3466, 0.9, 0.0), (1.5, 0.95, 0.0)],  # F = 0.5, 0.645, 0.911
+)
+def test_oracle_is_calibrated_over_seeds(r, eta, nbar):
+    # With N*F >= 3000 the standardised error z = (F_hat - F) / std_error is
+    # close to N(0, 1), so over 300 seeds its mean and spread sit near 0 and
+    # 1, and |z| > 3 (probability 0.27% each) is rare.  Every state reads the
+    # same 300 streams, each through its own map of the uniforms.
+    s = state(r, eta, nbar)
+    analytic = fidelity(s).fidelity
+    seeds = 300
+    z = np.array([
+        (estimate.fidelity_hat - analytic) / estimate.std_error
+        for estimate in (mc_fidelity(s, OracleConfig(samples=10_000, seed=seed)) for seed in range(seeds))
+    ])
+    assert abs(float(np.mean(z))) <= 0.3
+    assert 0.8 <= float(np.std(z, ddof=1)) <= 1.2
+    p = math.erfc(3.0 / math.sqrt(2.0))
+    # the smallest count c with P(more than c of the seeds beyond 3) <= 1e-6
+    tail, c = 1.0, -1
+    while tail > 1e-6:
+        c += 1
+        tail -= math.comb(seeds, c) * p**c * (1.0 - p) ** (seeds - c)
+    assert int(np.sum(np.abs(z) > 3.0)) <= c
 
 
 @pytest.mark.parametrize("r", [0.0, 3.0, 8.0, 10.0, 15.0])
@@ -195,24 +216,22 @@ def test_mc_fidelity_passes_at_large_squeezing(r):
     assert abs(est.duan_sum_hat - duan_sum(s)) <= 0.05 * duan_sum(s)
 
 
-def _mc_fidelity_peak_memory(monkeypatch, workers):
-    monkeypatch.setattr(oracle, "_worker_count", lambda: workers)
+def _mc_fidelity_peak_memory(threads):
     s = state(0.6, 0.8, 0.2)
-    mc_fidelity(s, OracleConfig(samples=2, seed=11))  # first call imports scipy.special
     tracemalloc.start()
     try:
-        mc_fidelity(s, OracleConfig(samples=2_000_000, seed=11))
+        _calls_on_threads(s, OracleConfig(samples=2_000_000, seed=11), threads)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     return peak
 
 
-def test_mc_fidelity_memory_does_not_grow_with_samples(monkeypatch):
-    peak = _mc_fidelity_peak_memory(monkeypatch, workers=1)
-    assert peak < 32 * 2**20  # the 2e6 samples alone take 64 MB as an (N, 4) array
+def test_mc_fidelity_memory_does_not_grow_with_samples():
+    peak = _mc_fidelity_peak_memory(threads=1)
+    assert peak < 8 * 2**20  # the 2e6 samples alone take 16 MB as one array
 
 
-def test_mc_fidelity_memory_does_not_grow_with_threads(monkeypatch):
-    peak = _mc_fidelity_peak_memory(monkeypatch, workers=2)
-    assert peak < 32 * 2**20  # one block buffer per thread, not the whole draw
+def test_mc_fidelity_memory_does_not_grow_with_threads():
+    peak = _mc_fidelity_peak_memory(threads=2)
+    assert peak < 8 * 2**20  # one block buffer per call, not the whole draw

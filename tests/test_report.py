@@ -305,6 +305,27 @@ def test_csv_reads_mixed_and_foreign_columns_cell_by_cell():
         table_from_csv("a\n1\nyes\n")
 
 
+@pytest.mark.parametrize("cell", ["1_000", " 2.5", "2.5 ", "Infinity", "NAN", "+1", "0x10", "1e", ""])
+def test_csv_reader_rejects_float_spellings_the_writers_never_write(cell):
+    # float() takes every one of these but the last three
+    with pytest.raises(ValueError, match=f"column 'b' holds {re.escape(repr(cell))}"):
+        table_from_csv(f"a,b\n1,2\n3,{cell}\n")
+
+
+def test_csv_reader_takes_hand_written_numbers():
+    text = "a\n0.1\n.5\n1.\n-2E5\n3e-07\n-0\ninf\n-inf\n"
+    assert table_from_csv(text).rows == ((0.1,), (0.5,), (1.0,), (-2e5,), (3e-07,), (-0.0,), (math.inf,), (-math.inf,))
+    assert math.isnan(table_from_csv("a\nnan\n").rows[0][0])
+
+
+@pytest.mark.parametrize("token", ["Infinity", "-Infinity"])
+def test_jsonl_reader_rejects_infinity_tokens(token):
+    # the writers spell infinity "inf"/"-inf"; NaN, which json.dumps writes, still reads
+    with pytest.raises(ValueError, match=f"token {token}"):
+        table_from_jsonl(f'{{"a": 1.0}}\n{{"a": {token}}}\n')
+    assert math.isnan(table_from_jsonl('{"a": NaN}\n').rows[0][0])
+
+
 @pytest.mark.parametrize(
     "first, later, count",
     [("true", "0.5", 300), ("0.5", "true", 300), ("true", "0.5", 256)],
