@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .epr_model import EprParams, GaussianEprState, _mu_opt
+from .epr_model import EprParams, GaussianEprState, _mu_opt, _real
 
 __all__ = [
     "BellResult",
@@ -79,10 +79,13 @@ def _loss_bound(r, eta):
 
 def _displacements(j):
     """J values as a float array, each checked to be finite and >= 0."""
-    j = np.asarray(j, dtype=float)
-    if not np.all(np.isfinite(j)) or np.any(j < 0.0):
+    try:
+        array = np.asarray(j, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        array = None
+    if array is None or not np.all(np.isfinite(array)) or np.any(array < 0.0):
         raise ValueError(f"j must be finite and >= 0, got {j!r}")
-    return j
+    return array
 
 
 def b_of_j(state: GaussianEprState, j):
@@ -137,11 +140,10 @@ def scaled_chsh(v: float, theta: float, angles) -> ScaledChsh:
     ``angles`` is the quadruple (phi1, phi1', phi2, phi2').  Local theories
     bound |S| by 2; the quantum ceiling is 2*sqrt(2)*V.
     """
-    if not (math.isfinite(v) and 0.0 <= v <= 1.0):
+    v, theta = _real("visibility", v), _real("theta", theta)
+    if not 0.0 <= v <= 1.0:
         raise ValueError(f"visibility must be in [0, 1], got {v!r}")
-    if not math.isfinite(theta):
-        raise ValueError(f"theta must be finite, got {theta!r}")
-    angles = tuple(float(a) for a in angles)
+    angles = tuple(_real("angle", a) for a in angles)
     if len(angles) != 4:
         raise ValueError(f"angles must be a quadruple, got {len(angles)} values")
     phi1, phi1p, phi2, phi2p = angles
@@ -156,5 +158,6 @@ def optimize_scaled_chsh(v: float, theta: float = 0.0) -> ScaledChsh:
     standard quadruple rigidly shifted by theta on one side, giving
     S = 2*sqrt(2)*V independent of theta.
     """
+    theta = _real("theta", theta)
     angles = (0.0, math.pi / 2.0, theta + math.pi / 4.0, theta - math.pi / 4.0)
     return scaled_chsh(v, theta, angles)

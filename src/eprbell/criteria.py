@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-from .epr_model import EprParams, GaussianEprState, mu_opt
+from .epr_model import EprParams, GaussianEprState, _real, mu_opt
 
 __all__ = [
     "CriteriaReport",
@@ -100,8 +100,7 @@ def mu_variances(state: GaussianEprState, mu: float) -> tuple[float, float]:
     suffers at large squeezing.  The two sectors coincide by symmetry.
     A mu for which the weighted sum overflows raises ValueError.
     """
-    if not math.isfinite(mu):
-        raise ValueError(f"mu must be finite, got {mu!r}")
+    mu = _real("mu", mu)
     try:
         var = (
             state.sigma_plus_sq * (1.0 - mu) ** 2 + state.sigma_minus_sq * (1.0 + mu) ** 2
@@ -145,6 +144,7 @@ def classify(state: GaussianEprState, mu: float | None = None) -> CriteriaReport
         mu = mu_opt(state)
         dx_mu_sq, dp_mu_sq = cond_x, cond_p
     else:
+        mu = _real("mu", mu)
         dx_mu_sq, dp_mu_sq = mu_variances(state, mu)
     gg_product = dx_mu_sq * dp_mu_sq
     if gg_product == math.inf:

@@ -44,6 +44,17 @@ _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 _NBAR_MAX = math.sqrt(sys.float_info.max) / 2.0
 
 
+def _real(name: str, value) -> float:
+    """value as a finite float; anything else (an int beyond the float range too) raises ValueError."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{name} must be a real number, got {value!r}") from None
+    if not math.isfinite(number):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return number
+
+
 @dataclass(frozen=True)
 class EprParams:
     """Physical knobs: squeezing r >= 0, transmission eta in [0, 1], thermal nbar >= 0.
@@ -59,14 +70,7 @@ class EprParams:
 
     def __post_init__(self):
         for name in ("r", "eta", "nbar"):
-            value = getattr(self, name)
-            try:
-                value = float(value)
-            except (TypeError, ValueError):
-                raise ValueError(f"{name} must be a real number, got {value!r}") from None
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, _real(name, getattr(self, name)))
         if self.r < 0.0:
             raise ValueError(f"r must be >= 0, got {self.r}")
         if 2.0 * self.r > _LOG_FLOAT_MAX:

@@ -16,17 +16,16 @@ in [0, 2**53), the value at stream position i of
 single draw ``default_rng(seed).random(N)``.  Sample i's noise is
 noise_sq = sm * t with t = -log1p(-v_i): since 1 - v_i >= 2**-53, t is
 finite for every k, and at most 53 ln 2.  Sampling and reduction run over fixed
-blocks of BLOCK samples, and each block is computed on its own: a fresh
-PCG64(seed) jumped ahead to the block start with PCG64.advance draws it
-into one (BLOCK,) buffer per call, so memory does not grow with N and
-concurrent calls share nothing.  BLOCK is part of the contract, not a
-tuning knob: the mean estimates are math.fsum of the per-block sums over N
-(exactly rounded), and the variance combines each block's two-pass
-(count, mean, M2) in block order with the pairwise update of Chan, Golub &
-LeVeque (1979).  A fixed (seed, samples, state) triple therefore
-reproduces bit-identical estimates; platform-dependent rounding of the
-transcendentals involved is below 1e-12.  Blocks run inline, one after
-another, on the calling thread.
+blocks of BLOCK samples, drawn in stream order from one generator into one
+buffer per call, so memory does not grow with N and concurrent calls share
+nothing.  BLOCK is part of the contract, not a tuning knob: the mean
+estimates are math.fsum of the per-block sums over N (exactly rounded), and
+the variance folds each block's two-pass (count, mean, M2) into the running
+one, in block order, with the pairwise update of Chan, Golub & LeVeque
+(1979).  A fixed (seed, samples, state) triple therefore reproduces
+bit-identical estimates; platform-dependent rounding of the
+transcendentals involved is below 1e-12.  Blocks run one after another on
+the calling thread.
 """
 
 from __future__ import annotations
@@ -65,34 +64,19 @@ class OracleEstimate:
     duan_sum_hat: float
 
 
-def _block(state: GaussianEprState, config: OracleConfig, start: int, buf: np.ndarray) -> np.ndarray:
-    """noise_sq = n_x^2 + n_p^2 of the samples of block start // BLOCK: a view
-    of buf, which must hold BLOCK floats.
-
-    This is the only place that knows the stream layout (see the module
-    docstring).  The next block drawn into buf overwrites the view.
-    """
-    bit_generator = np.random.PCG64(config.seed)
-    bit_generator.advance(start)
-    v = buf[:min(BLOCK, config.samples - start)]
-    np.random.Generator(bit_generator).random(out=v)
-    # -sm * log1p(-v) is sm * t exactly: a sign change never rounds.
-    np.log1p(np.negative(v, out=v), out=v)
-    v *= -state.sigma_minus_sq
-    return v
-
-
-def _fidelity_block(state: GaussianEprState, config: OracleConfig, start: int, buf: np.ndarray):
-    """(n, sum f, sum noise_sq, mean f, M2 of f) of one block, computed in
-    place in buf."""
-    noise_sq = _block(state, config, start, buf)
-    noise_sum = float(np.sum(noise_sq))
-    f = np.exp(np.negative(noise_sq, out=noise_sq), out=noise_sq)
-    n = len(f)
-    f_sum = float(np.sum(f))
-    block_mean = f_sum / n
-    f -= block_mean
-    return n, f_sum, noise_sum, block_mean, float(np.sum(np.square(f, out=f)))
+def _noise_blocks(state: GaussianEprState, config: OracleConfig):
+    """noise_sq = n_x^2 + n_p^2 of each block of BLOCK samples (the last may be
+    shorter) in stream order, as views of one buffer that the next block
+    overwrites: the only place that knows the stream layout (module docstring)."""
+    rng = np.random.default_rng(config.seed)
+    buf = np.empty(min(BLOCK, config.samples))
+    for start in range(0, config.samples, BLOCK):
+        v = buf[:min(BLOCK, config.samples - start)]
+        rng.random(out=v)
+        # -sm * log1p(-v) is sm * t exactly: a sign change never rounds.
+        np.log1p(np.negative(v, out=v), out=v)
+        v *= -state.sigma_minus_sq
+        yield v
 
 
 def mc_fidelity(state: GaussianEprState, config: OracleConfig) -> OracleEstimate:
@@ -110,18 +94,21 @@ def mc_fidelity(state: GaussianEprState, config: OracleConfig) -> OracleEstimate
     once sp/sm nears 2**52.  Samples are reduced block by block and never
     held all at once.
     """
-    buf = np.empty(BLOCK)
-    blocks = [_fidelity_block(state, config, start, buf) for start in range(0, config.samples, BLOCK)]
-    count, mean, m2 = 0, 0.0, 0.0
-    for n, _, _, block_mean, block_m2 in blocks:
+    count, mean, m2, f_sums, noise_sums = 0, 0.0, 0.0, [], []
+    for noise_sq in _noise_blocks(state, config):
+        noise_sums.append(float(np.sum(noise_sq)))
+        f = np.exp(np.negative(noise_sq, out=noise_sq), out=noise_sq)
+        n = len(f)
+        f_sums.append(float(np.sum(f)))
+        block_mean = f_sums[-1] / n
+        f -= block_mean
         delta = block_mean - mean
         total = count + n
         mean += delta * n / total
-        m2 += block_m2 + delta * delta * count * n / total
+        m2 += float(np.sum(np.square(f, out=f))) + delta * delta * count * n / total
         count = total
-    samples = config.samples
     return OracleEstimate(
-        fidelity_hat=math.fsum(block[1] for block in blocks) / samples,
-        std_error=math.sqrt(m2 / (samples - 1)) / math.sqrt(samples),
-        duan_sum_hat=math.fsum(block[2] for block in blocks) / samples,
+        fidelity_hat=math.fsum(f_sums) / config.samples,
+        std_error=math.sqrt(m2 / (config.samples - 1)) / math.sqrt(config.samples),
+        duan_sum_hat=math.fsum(noise_sums) / config.samples,
     )

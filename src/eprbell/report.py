@@ -87,9 +87,12 @@ class SweepSpec:
     nbar: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "r_grid", tuple(float(r) for r in self.r_grid))
-        object.__setattr__(self, "eta_list", tuple(float(e) for e in self.eta_list))
-        object.__setattr__(self, "nbar", float(self.nbar))
+        try:
+            object.__setattr__(self, "r_grid", tuple(float(r) for r in self.r_grid))
+            object.__setattr__(self, "eta_list", tuple(float(e) for e in self.eta_list))
+            object.__setattr__(self, "nbar", float(self.nbar))
+        except (TypeError, ValueError, OverflowError):
+            raise ValueError(f"r_grid, eta_list and nbar must hold real numbers, got {self!r}") from None
         if not self.r_grid:
             raise ValueError("r_grid must be nonempty")
         if not self.eta_list:
@@ -102,8 +105,8 @@ class SweepSpec:
 
     @classmethod
     def from_range(cls, r_min: float, r_max: float, r_count: int, **kwargs) -> "SweepSpec":
-        if r_count < 1:
-            raise ValueError(f"r_count must be >= 1, got {r_count}")
+        if not isinstance(r_count, (int, np.integer)) or r_count < 1:
+            raise ValueError(f"r_count must be an integer >= 1, got {r_count!r}")
         return cls(r_grid=tuple(np.linspace(r_min, r_max, r_count)), **kwargs)
 
 

@@ -350,8 +350,8 @@ def test_single_result_stdout_is_pinned(capsys, argv, code, expected):
     assert run(capsys, *argv) == (code, expected, "")
 
 
-def test_one_block_oracle_and_sweeps_start_no_thread():
-    # Oracle calls of one block and of 16 blocks run inline, and sweeps start no thread either.
+def test_oracle_and_sweeps_start_no_thread():
+    # Oracle calls of one block and of many run inline, and sweeps start no thread either.
     env = dict(os.environ, PYTHONPATH=str(Path(eprbell.__file__).resolve().parents[1]))
     code = (
         "import contextlib, io, threading, eprbell.cli\n"

@@ -128,6 +128,12 @@ def test_mu_variances_rejects_non_finite_mu():
         mu_variances(state(0.5, 0.9), math.nan)
 
 
+def test_classify_reports_mu_as_a_float():
+    # A bool gain would write the criteria table's mu column as true/false.
+    mu = classify(state(0.5, 0.9), mu=True).mu
+    assert mu == 1.0 and type(mu) is float
+
+
 def test_conditional_variances_vacuum():
     assert conditional_variances(state(0.0, 1.0)) == (0.25, 0.25)
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import eprbell
 from eprbell import EprParams, GaussianEprState, OracleConfig, fidelity, make_state, maximize_b, mu_opt, sigma_pair
 from reference import exact, reference_samples, second_moments, wigner
 
@@ -65,6 +66,34 @@ def test_eta_one_ignores_nbar():
 def test_params_validation_names_field(kwargs, field):
     with pytest.raises(ValueError, match=field):
         EprParams(**kwargs)
+
+
+HUGE = 10**400  # a Python int beyond the float range
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: EprParams(r=HUGE, eta=0.5),
+        lambda: eprbell.nbar_threshold(HUGE, 0.5),
+        lambda: eprbell.SweepSpec(r_grid=(HUGE,)),
+        lambda: eprbell.classify(make_state(EprParams(0.5, 0.9)), mu=HUGE),
+        lambda: eprbell.mu_variances(make_state(EprParams(0.5, 0.9)), HUGE),
+        lambda: eprbell.b_of_j(make_state(EprParams(0.5, 0.9)), HUGE),
+        lambda: eprbell.fig2((0.1,), 0.9, (HUGE,)),
+        lambda: eprbell.scaled_chsh(HUGE, 0.0, (0.0, 1.0, 2.0, 3.0)),
+        lambda: eprbell.scaled_chsh(0.9, 0.0, (0.0, 1.0, 2.0, math.nan)),
+        lambda: eprbell.optimize_scaled_chsh(0.5, theta=HUGE),
+        lambda: eprbell.SweepSpec.from_range(0.0, 3.0, 2.5),
+    ],
+    ids=[
+        "EprParams", "nbar_threshold", "SweepSpec", "classify", "mu_variances", "b_of_j", "fig2",
+        "scaled_chsh", "scaled_chsh-nan-angle", "optimize_scaled_chsh", "from_range-fractional-count",
+    ],
+)
+def test_library_entries_reject_malformed_numbers_with_value_error(call):
+    with pytest.raises(ValueError):
+        call()
 
 
 def test_overflow_edge_is_the_largest_accepted_r():

@@ -27,14 +27,14 @@ def test_config_validation(samples, seed):
         OracleConfig(samples=samples, seed=seed)
 
 
-def block(s, config, start=0):
-    return oracle._block(s, config, start, np.empty(BLOCK))
+def blocks(s, config):
+    return [b.copy() for b in oracle._noise_blocks(s, config)]
 
 
 def test_sampling_is_deterministic():
     s = state(0.6, 0.8, 0.2)
     config = OracleConfig(samples=10_000, seed=987654321)
-    np.testing.assert_array_equal(block(s, config), block(s, config))
+    np.testing.assert_array_equal(blocks(s, config), blocks(s, config))
     ea = mc_fidelity(s, config)
     eb = mc_fidelity(s, config)
     assert ea == eb
@@ -42,13 +42,13 @@ def test_sampling_is_deterministic():
 
 def test_different_seeds_differ():
     s = state(0.6, 0.8)
-    a = block(s, OracleConfig(samples=1000, seed=1))
-    b = block(s, OracleConfig(samples=1000, seed=2))
+    [a] = blocks(s, OracleConfig(samples=1000, seed=1))
+    [b] = blocks(s, OracleConfig(samples=1000, seed=2))
     assert not np.array_equal(a, b)
 
 
 def test_sample_shape_and_finiteness():
-    noise_sq = block(state(1.0, 0.5, 0.3), OracleConfig(samples=5000, seed=3))
+    [noise_sq] = blocks(state(1.0, 0.5, 0.3), OracleConfig(samples=5000, seed=3))
     assert noise_sq.shape == (5000,)
     assert np.all(np.isfinite(noise_sq))
     assert np.all(noise_sq >= 0.0)
@@ -120,8 +120,10 @@ def test_streamed_blocks_match_the_single_draw(samples):
     s = state(0.8, 0.85, 0.1)
     config = OracleConfig(samples=samples, seed=2**63 + 2**40 + 17)
     noise_sq = s.sigma_minus_sq * reference_exponentials(config)
-    for start in range(0, samples, BLOCK):
-        np.testing.assert_array_equal(block(s, config, start), noise_sq[start:start + BLOCK])
+    streamed = blocks(s, config)
+    assert len(streamed) == math.ceil(samples / BLOCK)
+    for k, b in enumerate(streamed):
+        np.testing.assert_array_equal(b, noise_sq[k * BLOCK:(k + 1) * BLOCK])
 
     f_samples = np.exp(-noise_sq)
     est = mc_fidelity(s, config)
@@ -156,7 +158,7 @@ def _calls_on_threads(s, config, threads):
 
 
 @pytest.mark.parametrize("samples", [2, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7])
-def test_results_are_bit_identical_for_any_worker_count(samples):
+def test_concurrent_calls_are_bit_identical(samples):
     # Each call draws into a buffer of its own, so calls from concurrent
     # threads neither share nor overwrite each other's blocks.
     s = state(0.8, 0.85, 0.1)
