@@ -5,8 +5,7 @@ Usage:
     python scripts/make_figures.py [--out-dir data]
 
 Runs the `eprbell fig1..fig4` subcommands with default settings, writing
-<out-dir>/figN.csv; fig2 is emitted once per default transmission with an
-eta column.
+<out-dir>/figN.csv; fig2 is one table stacked over the default transmissions.
 """
 
 import argparse

@@ -4,12 +4,11 @@ Exit codes: 0 on success, 2 on invalid arguments or configuration, and 1
 when the ``oracle`` subcommand's statistical comparison fails its
 3-standard-error band.
 
-Figure subcommands read an optional JSON config whose keys mirror
-:class:`eprbell.report.SweepSpec` (``r_list`` or ``r_min``/``r_max``/
-``r_count``, ``eta_list``, ``nbar``; fig2 additionally
-``j_min``/``j_max``/``j_count``); explicit command-line flags override
-config values.  Any other key, and a value of the wrong JSON type, is
-rejected with exit code 2.
+Figure subcommands take their grid from an optional JSON config, the one
+way to set it, whose keys mirror :class:`eprbell.report.SweepSpec`
+(``r_list`` or ``r_min``/``r_max``/``r_count``, ``eta_list``, ``nbar``;
+fig2 additionally ``j_min``/``j_max``/``j_count``).  Any other key, and a
+value of the wrong JSON type, is rejected with exit code 2.
 """
 
 from __future__ import annotations
@@ -148,12 +147,8 @@ _CONFIG_KEYS = {
 }
 
 
-def _parse_etas(text: str) -> tuple[float, ...]:
-    return tuple(float(part) for part in text.split(",") if part.strip())
-
-
 def _fig_config(args) -> dict:
-    """The figure config: defaults, then the --config file, then the flags.
+    """The figure config: defaults, then the --config file.
 
     Every key of the file is checked against the schema, so a misspelt key or
     a value of the wrong JSON type is rejected, naming the key.  Numbers come
@@ -173,11 +168,6 @@ def _fig_config(args) -> dict:
                 config[key] = convert(value)
             except (TypeError, OverflowError):
                 raise ValueError(f"config key {key!r} must be {kind}, got {json.dumps(value)}") from None
-    if args.etas is not None:
-        config["eta_list"] = _parse_etas(args.etas)
-    for key, flag in (("nbar", "nbar"), ("j_max", "j_max"), ("j_count", "j_points")):
-        if getattr(args, flag, None) is not None:
-            config[key] = getattr(args, flag)
     return config
 
 
@@ -250,11 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=f"emit the {name} dataset as CSV")
         p.add_argument("--config", default=None, help="JSON config mirroring the sweep spec")
         p.add_argument("--out", default=None, help="output path (default: stdout)")
-        p.add_argument("--nbar", type=float, default=None)
-        p.add_argument("--etas", default=None, help="comma-separated transmission list")
-        if name == "fig2":
-            p.add_argument("--j-max", type=float, default=None)
-            p.add_argument("--j-points", type=int, default=None)
         p.set_defaults(func=func)
 
     return parser

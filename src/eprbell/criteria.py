@@ -84,12 +84,12 @@ def nbar_threshold(r: float, eta: float) -> float:
     -expm1(-2r), which keeps full precision at small r; 0 when r = 0 (no
     squeezing, never entangled) and +inf when eta = 1 (ancillas never couple in).
     """
-    EprParams(r, eta)  # the one validator of the knobs
-    if r == 0.0:
+    p = EprParams(r, eta)  # the one validator of the knobs; its floats are used below
+    if p.r == 0.0:
         return 0.0
-    if eta == 1.0:
+    if p.eta == 1.0:
         return math.inf
-    return eta * -math.expm1(-2.0 * r) / (2.0 * (1.0 - eta))
+    return p.eta * -math.expm1(-2.0 * p.r) / (2.0 * (1.0 - p.eta))
 
 
 def mu_variances(state: GaussianEprState, mu: float) -> tuple[float, float]:

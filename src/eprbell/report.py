@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bell import _b, _bell_max, _displacements, _loss_bound
-from .epr_model import EprParams, sigma_pair
+from .epr_model import EprParams, _real, sigma_pair
 from .teleport import _fidelity
 
 __all__ = [
@@ -107,7 +107,7 @@ class SweepSpec:
     def from_range(cls, r_min: float, r_max: float, r_count: int, **kwargs) -> "SweepSpec":
         if not isinstance(r_count, (int, np.integer)) or r_count < 1:
             raise ValueError(f"r_count must be an integer >= 1, got {r_count!r}")
-        return cls(r_grid=tuple(np.linspace(r_min, r_max, r_count)), **kwargs)
+        return cls(r_grid=tuple(np.linspace(_real("r_min", r_min), _real("r_max", r_max), r_count)), **kwargs)
 
 
 # The fig4 columns: one (r, eta) sweep sample with fidelity and Bell diagnostics.
@@ -201,23 +201,29 @@ _BOOL_TEXT = ("false", "true")
 _JSON_NON_FINITE = {"nan": "NaN", "inf": '"inf"', "-inf": '"-inf"'}
 
 
-def _bool_column(name: str, values) -> bool:
-    """Whether every cell is a bool; a column mixing bools with other cells raises ValueError."""
+def _column_types(name: str, values) -> set:
+    """The types of a column's cells; a column mixing bools with other cells raises ValueError."""
     types = set(map(type, values))
     if bool in types and len(types) > 1:
         raise ValueError(f"column {name!r} mixes booleans with numbers")
-    return bool in types
+    return types
 
 
 def column_text(name: str, values, json_form: bool = False) -> list[str]:
-    """One column's cells as CSV (or JSON) text: bools as true/false, anything else as
-    a float, '%.17g' in CSV and json.dumps's text in JSON.  Each distinct float, by bit
+    """One column's cells as CSV (or JSON) text: bools as true/false, real numbers as
+    floats, '%.17g' in CSV and json.dumps's text in JSON.  Each distinct float, by bit
     pattern (so 0.0 and -0.0, and NaNs of different sign, stay apart), is formatted once
-    and its text shared by every cell holding it.  Bools mixed with numbers raise
-    ValueError, since the cells would not read back as they were written."""
-    if _bool_column(name, values):
+    and its text shared by every cell holding it.  Any other cell (None, text, an int beyond
+    the float range) or bools mixed with numbers raise ValueError: they would not read back."""
+    types = _column_types(name, values)
+    if bool in types:
         return list(map(_BOOL_TEXT.__getitem__, values))
-    floats = np.fromiter(map(float, values), float, len(values))
+    try:
+        if any(issubclass(t, (str, bytes)) for t in types):  # float() would parse "1.5"; no reader gives text
+            raise TypeError("text is not a number")
+        floats = np.fromiter(map(float, values), float, len(values))
+    except (TypeError, OverflowError) as exc:
+        raise ValueError(f"column {name!r} holds a cell that is not a real number: {exc}") from None
     bits, cell_index = np.unique(floats.view(np.uint64), return_inverse=True)
     distinct = bits.view(np.float64).tolist()
     if json_form:
@@ -254,7 +260,7 @@ def _parse_column(name: str, texts) -> list:
     in another spelling than the writers' (such as '1_000', ' 2.5 ' or
     'Infinity', which float() would take), raises ValueError."""
     cells = [text == "true" if text in _BOOL_TEXT else text for text in texts]
-    if _bool_column(name, cells):
+    if bool in _column_types(name, cells):
         return cells
     if not all(map(_CSV_FLOAT.fullmatch, texts)):
         bad = next(text for text in texts if not _CSV_FLOAT.fullmatch(text))
@@ -296,7 +302,7 @@ def _json_cell(value):
 
 def _json_column(name: str, values: list) -> list:
     """One JSONL column's cells: all bools, else each as _json_cell reads it."""
-    if _bool_column(name, values) or {int, float}.issuperset(map(type, values)):
+    if bool in _column_types(name, values) or {int, float}.issuperset(map(type, values)):
         return values
     return list(map(_json_cell, values))
 

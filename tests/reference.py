@@ -16,7 +16,6 @@ import math
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import ndtri
 
 
 def wigner(state, x1, p1, x2, p2):
@@ -70,11 +69,8 @@ def reference_exponentials(config):
 
 def reference_factors(state, config):
     """Four Gaussian factors (x1+x2, x1-x2, p1-p2, p1+p2), each scaled to its
-    variance: one (4, N) integer draw from the seed's stream, then ndtri."""
-    k = np.random.default_rng(config.seed).integers(
-        0, 1 << 53, size=(4, config.samples), dtype=np.uint64
-    )
-    z = ndtri((k.astype(np.float64) + 0.5) * 2.0**-53)
+    variance: one (4, N) standard-normal draw from the seed's stream."""
+    z = np.random.default_rng(config.seed).standard_normal((4, config.samples))
     scale = np.array([state.sigma_plus_sq, state.sigma_minus_sq] * 2) / 2.0
     return np.sqrt(scale)[:, None] * z
 

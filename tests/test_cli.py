@@ -154,16 +154,18 @@ def test_fig1_stdout_default(capsys):
     assert len(table.rows) == 200 * len(DEFAULT_ETAS)
 
 
-def test_fig1_out_file_and_flags(tmp_path, capsys):
+def test_fig1_out_file_and_config(tmp_path, capsys):
     out_path = tmp_path / "fig1.csv"
-    code, out, _ = run(capsys, "fig1", "--out", str(out_path), "--etas", "1.0", "--nbar", "0")
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"eta_list": [1.0], "nbar": 0}))
+    code, out, _ = run(capsys, "fig1", "--out", str(out_path), "--config", str(path))
     assert code == 0
     assert out == ""
     table = table_from_csv(out_path.read_text())
     assert {row[1] for row in table.rows} == {1.0}
 
 
-def test_fig_config_and_override(tmp_path, capsys):
+def test_fig_config_grid_and_nbar(tmp_path, capsys):
     config = {"r_list": [0.0, 0.5], "eta_list": [0.9, 0.5], "nbar": 0.25}
     path = tmp_path / "sweep.json"
     path.write_text(json.dumps(config))
@@ -171,17 +173,15 @@ def test_fig_config_and_override(tmp_path, capsys):
     assert code == 0
     table = table_from_csv(out)
     assert len(table.rows) == 4
-    # flag overrides the config's nbar: fidelity at r=0 returns to 1/2
-    code, out2, _ = run(capsys, "fig1", "--config", str(path), "--nbar", "0")
-    table2 = table_from_csv(out2)
-    row0 = next(r for r in table2.rows if r[0] == 0.0 and r[1] == 0.9)
-    assert row0[2] == pytest.approx(0.5, abs=1e-15)
+    # the config's nbar reaches the state: fidelity at r=0 falls below 1/2
     row0_thermal = next(r for r in table.rows if r[0] == 0.0 and r[1] == 0.9)
     assert row0_thermal[2] < 0.5
 
 
-def test_fig2_stacked_output(capsys):
-    code, out, _ = run(capsys, "fig2", "--etas", "0.9,0.5", "--j-points", "5", "--j-max", "1")
+def test_fig2_stacked_output(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"eta_list": [0.9, 0.5], "j_count": 5, "j_max": 1}))
+    code, out, _ = run(capsys, "fig2", "--config", str(path))
     assert code == 0
     table = table_from_csv(out)
     assert table.columns == ("eta", "r", "J", "B")
@@ -190,10 +190,10 @@ def test_fig2_stacked_output(capsys):
     assert etas == sorted(etas, reverse=True)
 
 
-def test_fig2_nbar_reaches_the_state(capsys):
-    code, out, _ = run(
-        capsys, "fig2", "--etas", "0.9", "--nbar", "0.5", "--j-points", "5", "--j-max", "1",
-    )
+def test_fig2_nbar_reaches_the_state(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"eta_list": [0.9], "nbar": 0.5, "j_count": 5, "j_max": 1}))
+    code, out, _ = run(capsys, "fig2", "--config", str(path))
     assert code == 0
     table = table_from_csv(out)
     assert len(table.rows) == 4 * 5
@@ -254,7 +254,6 @@ def test_shared_config_accepted_by_every_figure(tmp_path, capsys, figure):
     [
         (("fidelity", "--r", "400", "--eta", "0.9"), None, "r "),
         (("fig1",), {"r_max": 400}, "r "),
-        (("fig2", "--etas", ","), None, "eta_list"),
         (("fig2",), {"eta_list": []}, "eta_list"),
         (("fig1",), {"eta_list": 0.9}, "'eta_list'"),
         (("fig2",), {"eta_list": 0.9}, "'eta_list'"),
@@ -268,13 +267,13 @@ def test_shared_config_accepted_by_every_figure(tmp_path, capsys, figure):
         (("fig2",), {"j_count": 5.0}, "'j_count'"),
         (("chsh", "--visibility", "0.9", "--theta", "nan"), None, "theta"),
         (("fidelity", "--r", "0", "--eta", "0.5", "--nbar", "1e308"), None, "nbar "),
-        (("fig1", "--nbar", "1e308", "--etas", "0.5"), None, "nbar "),
+        (("fig1",), {"nbar": 1e308, "eta_list": [0.5]}, "nbar "),
         (("criteria", "--r", "1", "--eta", "0.9", "--mu", "1e160"), None, "mu "),
         (("criteria", "--r", "354", "--eta", "1", "--mu", "0"), None, "mu "),
         (("oracle", "--r", "0.5", "--eta", "0.9", "--samples", "1", "--seed", "1"), None, "samples must be an integer >= 2"),
     ],
     ids=[
-        "fidelity-overflow-r", "fig1-overflow-r_max", "fig2-empty-etas", "fig2-empty-eta_list",
+        "fidelity-overflow-r", "fig1-overflow-r_max", "fig2-empty-eta_list",
         "fig1-scalar-eta_list", "fig2-scalar-eta_list", "fig1-null-eta_list", "fig2-null-eta_list",
         "fig3-unknown-key", "fig2-unknown-key", "fig1-fractional-r_count", "fig4-boolean-eta",
         "fig1-string-r_list", "fig2-float-j_count", "chsh-nan-theta", "fidelity-huge-nbar",
@@ -291,6 +290,21 @@ def test_rejected_input_exits_2_with_one_error_line(tmp_path, capsys, argv, conf
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert names in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [(fig, flag, "0.3") for fig in ("fig1", "fig3", "fig4") for flag in ("--etas", "--nbar")]
+    + [("fig2", flag, value) for flag, value in (("--etas", "0.9"), ("--nbar", "0.3"), ("--j-max", "1"), ("--j-points", "5"))],
+    ids=lambda argv: argv[0] + argv[1],
+)
+def test_figure_grid_flags_are_gone(capsys, argv):
+    # --config is the one way to set a figure's grid; argparse rejects the old flags itself.
+    with pytest.raises(SystemExit) as excinfo:
+        main(list(argv))
+    err = capsys.readouterr().err
+    assert excinfo.value.code == 2
+    assert f"unrecognized arguments: {argv[1]} {argv[2]}" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize(
@@ -376,13 +390,13 @@ def test_b_of_j_at_the_overflow_edge_warns_nothing(tmp_path, capsys):
     s = make_state(EprParams(354.8, 1.0))
     assert [row[1] for row in table_from_csv(out).rows[1:]] == [1.0 / (s.sigma_plus_sq * s.sigma_minus_sq)] * 4
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"r_list": [354.8]}))
-    code, _, err = run(capsys, "fig2", "--etas", "1", "--config", str(path))
+    path.write_text(json.dumps({"r_list": [354.8], "eta_list": [1]}))
+    code, _, err = run(capsys, "fig2", "--config", str(path))
     assert (code, err) == (0, "")
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    # scipy is a test dependency only: no command imports it.
+    # scipy is no dependency of the package or its tests: no command imports it.
     env = dict(os.environ, PYTHONPATH=str(Path(eprbell.__file__).resolve().parents[1]))
     code = (
         "import contextlib, io, sys, eprbell.cli\n"

@@ -6,7 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import eprbell
-from eprbell import EprParams, GaussianEprState, OracleConfig, fidelity, make_state, maximize_b, mu_opt, sigma_pair
+from eprbell import (
+    EprParams, GaussianEprState, OracleConfig, SweepSpec, Table, fidelity, make_state, maximize_b, mu_opt, report,
+    sigma_pair,
+)
 from reference import exact, reference_samples, second_moments, wigner
 
 LN2_HALF = math.log(2.0) / 2.0
@@ -94,6 +97,83 @@ HUGE = 10**400  # a Python int beyond the float range
 def test_library_entries_reject_malformed_numbers_with_value_error(call):
     with pytest.raises(ValueError):
         call()
+
+
+_STATE = GaussianEprState(EprParams(0.5, 0.9, 0.1))
+# Each numeric argument of a public entry, as a call that puts one value there; a grid,
+# angle or cell slot puts it after valid elements.
+NUMBER_SLOTS = {
+    "EprParams.r": lambda v: EprParams(v, 0.9),
+    "EprParams.eta": lambda v: EprParams(0.5, v),
+    "EprParams.nbar": lambda v: EprParams(0.5, 0.9, v),
+    "nbar_threshold.r": lambda v: eprbell.nbar_threshold(v, 0.9),
+    "nbar_threshold.eta": lambda v: eprbell.nbar_threshold(0.5, v),
+    "mu_variances.mu": lambda v: eprbell.mu_variances(_STATE, v),
+    "classify.mu": lambda v: eprbell.classify(_STATE, v),
+    "b_of_j.j": lambda v: eprbell.b_of_j(_STATE, v),
+    "b_of_j.j_grid": lambda v: eprbell.b_of_j(_STATE, (0.1, v)),
+    "scaled_chsh.v": lambda v: eprbell.scaled_chsh(v, 0.0, (0.0, 1.0, 2.0, 3.0)),
+    "scaled_chsh.theta": lambda v: eprbell.scaled_chsh(0.9, v, (0.0, 1.0, 2.0, 3.0)),
+    "scaled_chsh.angle": lambda v: eprbell.scaled_chsh(0.9, 0.0, (0.0, 1.0, 2.0, v)),
+    "optimize_scaled_chsh.v": lambda v: eprbell.optimize_scaled_chsh(v),
+    "optimize_scaled_chsh.theta": lambda v: eprbell.optimize_scaled_chsh(0.9, v),
+    "OracleConfig.samples": lambda v: OracleConfig(v, 1),
+    "OracleConfig.seed": lambda v: OracleConfig(10, v),
+    "SweepSpec.r_grid": lambda v: SweepSpec((0.1, v)),
+    "SweepSpec.eta_list": lambda v: SweepSpec((0.1,), (0.9, v)),
+    "SweepSpec.nbar": lambda v: SweepSpec((0.1,), nbar=v),
+    "SweepSpec.from_range.r_min": lambda v: SweepSpec.from_range(v, 1.0, 3),
+    "SweepSpec.from_range.r_max": lambda v: SweepSpec.from_range(0.0, v, 3),
+    "SweepSpec.from_range.r_count": lambda v: SweepSpec.from_range(0.0, 1.0, v),
+    "default_fig1_spec.eta_list": lambda v: report.default_fig1_spec((0.9, v)),
+    "default_fig1_spec.nbar": lambda v: report.default_fig1_spec(nbar=v),
+    "default_fig3_spec.eta_list": lambda v: report.default_fig3_spec((0.9, v)),
+    "default_fig3_spec.nbar": lambda v: report.default_fig3_spec(nbar=v),
+    "default_fig4_spec.eta_list": lambda v: report.default_fig4_spec((0.9, v)),
+    "default_fig4_spec.nbar": lambda v: report.default_fig4_spec(nbar=v),
+    "fig2.r_list": lambda v: report.fig2((0.1, v), 0.9, (0.0, 1.0)),
+    "fig2.eta": lambda v: report.fig2((0.1,), v, (0.0, 1.0)),
+    "fig2.j_grid": lambda v: report.fig2((0.1,), 0.9, (0.0, v)),
+    "fig2.nbar": lambda v: report.fig2((0.1,), 0.9, (0.0, 1.0), v),
+    "fig2_stacked.r_list": lambda v: report.fig2_stacked((0.1, v), (0.9,), (0.0, 1.0)),
+    "fig2_stacked.eta_list": lambda v: report.fig2_stacked((0.1,), (0.9, v), (0.0, 1.0)),
+    "fig2_stacked.j_grid": lambda v: report.fig2_stacked((0.1,), (0.9,), (0.0, v)),
+    "fig2_stacked.nbar": lambda v: report.fig2_stacked((0.1,), (0.9,), (0.0, 1.0), v),
+    "column_text.values": lambda v: report.column_text("a", (1.0, v)),
+    "column_text.values-json": lambda v: report.column_text("a", (1.0, v), json_form=True),
+    "table_to_csv.cell": lambda v: eprbell.table_to_csv(Table(("a",), ((1.0,), (v,)))),
+    "table_to_jsonl.cell": lambda v: eprbell.table_to_jsonl(Table(("a",), ((1.0,), (v,)))),
+}
+# Public callables with no numeric argument of their own: they take a state, params,
+# spec, config or text, whose numbers the slots above cover.
+NO_NUMBER_ARGUMENT = {
+    "GaussianEprState", "make_state", "fidelity", "duan_sum", "conditional_variances", "mu_opt",
+    "maximize_b", "loss_bound_ok", "mc_fidelity", "fig1", "fig3", "fig4", "default_fig2_j_grid",
+    "table_from_csv", "table_from_jsonl",
+}
+# Result records store what they are given; sigma_pair is the array kernel over knobs
+# that EprParams or SweepSpec has already validated, as its docstring says, and checks none.
+NOT_VALIDATING = {"BellResult", "CriteriaReport", "FidelityResult", "OracleEstimate", "ScaledChsh", "Table", "sigma_pair"}
+
+
+def test_number_slots_cover_every_public_callable():
+    public = {name for name, obj in vars(eprbell).items() if callable(obj) and not name.startswith("_")}
+    public |= {name for name in report.__all__ if callable(getattr(report, name))}
+    assert public == {slot.split(".")[0] for slot in NUMBER_SLOTS} | NO_NUMBER_ARGUMENT | NOT_VALIDATING
+
+
+@pytest.mark.parametrize("value", [None, "x", "1.5", HUGE, math.nan, math.inf, True, 1e-320, -0.0],
+                         ids=["None", "str", "numeric-str", "huge-int", "nan", "inf", "True", "subnormal", "minus-zero"])
+@pytest.mark.parametrize("slot", NUMBER_SLOTS)
+def test_public_entries_return_or_raise_value_error_for_any_number(slot, value):
+    """Each numeric argument of each public entry, given each value in turn, gives a
+    result or a ValueError, never another exception or a warning (pytest makes
+    RuntimeWarning an error).  A scalar passed where a sequence is expected, such as
+    angles=None, is a type misuse and out of scope."""
+    try:
+        NUMBER_SLOTS[slot](value)
+    except ValueError:
+        pass
 
 
 def test_overflow_edge_is_the_largest_accepted_r():

@@ -411,3 +411,12 @@ def test_jsonl_rejects_non_objects_and_foreign_cells():
             table_from_jsonl(text)
 
 
+
+
+@pytest.mark.parametrize("cell", ["1.5", b"1.5", None, 10**400], ids=["text", "bytes", "None", "huge-int"])
+def test_writers_reject_cells_that_are_not_real_numbers(cell):
+    # float() would read "1.5", but no reader gives a text cell, so the writers take none.
+    table = Table(columns=("a",), rows=((0.5,), (cell,)))
+    for write in (table_to_csv, table_to_jsonl):
+        with pytest.raises(ValueError, match="column 'a'"):
+            write(table)
