@@ -22,9 +22,9 @@ fair-sampling caveat at low detection efficiency).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-
-import numpy as np
+from functools import partial
 
 from .epr_model import EprParams, GaussianEprState, _mu_opt, _real
 
@@ -54,38 +54,36 @@ class ScaledChsh:
     m_scale: float = 1.0  # overall coincidence scale; never enters S
 
 
-def _b(sp, sm, j):
-    """The reduced form of B(J) (see :func:`b_of_j`) for floats or broadcast-compatible arrays."""
-    # With sm subnormal (r at its overflow edge) an exponent can overflow to -inf; exp(-inf) = 0 is exact.
-    with np.errstate(over="ignore"):
-        return (1.0 + 2.0 * np.exp(-j * (1.0 / sp + 1.0 / sm)) - np.exp(-4.0 * j / sm)) / (sp * sm)
+def _b(sp: float, sm: float, j: float) -> float:
+    """The reduced form of B(J) (see :func:`b_of_j`) at one J."""
+    # With sm subnormal (r at its overflow edge) -4*j/sm can overflow to -inf; exp(-inf) = 0 is exact.
+    return (1.0 + 2.0 * math.exp(-j * (1.0 / sp + 1.0 / sm)) - math.exp(-4.0 * j / sm)) / (sp * sm)
 
 
-def _bell_max(r, eta, sp, sm):
-    """(J*, B(J*), B(J*) > 2) of :func:`maximize_b` for floats or broadcast-compatible arrays."""
+def _bell_max(r: float, eta: float, sp: float, sm: float) -> tuple[float, float, bool]:
+    """(J*, B(J*), B(J*) > 2) of :func:`maximize_b` for the knobs and their variance pair."""
     mu = _mu_opt(r, eta, sp, sm)
-    # A subnormal mu has lost digits that the factor sm (up to ~1e154) would
-    # scale back into range; there log1p(mu) = mu, so mu*sm is formed directly.
-    mu_sm = 2.0 * eta * np.sinh(2.0 * r) * (sm / (sp + sm))
-    j = np.where(mu < np.finfo(float).tiny, mu_sm, np.log1p(mu) * sm) / (3.0 - sm / sp)
+    if mu < sys.float_info.min:
+        # A subnormal mu has lost digits that the factor sm (up to ~1e154) would
+        # scale back into range; there log1p(mu) = mu, so mu*sm is formed directly.
+        j = 2.0 * eta * math.sinh(2.0 * r) * (sm / (sp + sm)) / (3.0 - sm / sp)
+    else:
+        j = math.log1p(mu) * sm / (3.0 - sm / sp)
     b = _b(sp, sm, j)
     return j, b, b > 2.0
 
 
-def _loss_bound(r, eta):
-    """The flag of :func:`loss_bound_ok` for floats or arrays, halved on both sides against overflow."""
-    return (1.0 - eta) * np.cosh(2.0 * r) < 0.5
+def _loss_bound(r: float, eta: float) -> bool:
+    """The flag of :func:`loss_bound_ok`, halved on both sides against overflow."""
+    return (1.0 - eta) * math.cosh(2.0 * r) < 0.5
 
 
-def _displacements(j):
-    """J values as a float array, each checked to be finite and >= 0."""
-    try:
-        array = np.asarray(j, dtype=float)
-    except (TypeError, ValueError, OverflowError):
-        array = None
-    if array is None or not np.all(np.isfinite(array)) or np.any(array < 0.0):
-        raise ValueError(f"j must be finite and >= 0, got {j!r}")
-    return array
+def _displacement(j) -> float:
+    """One J value as a float, checked to be finite and >= 0."""
+    value = _real("j", j)
+    if value < 0.0:
+        raise ValueError(f"j must be >= 0, got {j!r}")
+    return value
 
 
 def b_of_j(state: GaussianEprState, j):
@@ -97,10 +95,20 @@ def b_of_j(state: GaussianEprState, j):
         B(J) = [1 + 2*exp(-a*J) - exp(-b*J)] / (sp*sm),  a = 1/sp + 1/sm,  b = 4/sm.
 
     The four-term sum in ``tests/reference.py`` is the independent
-    reference.  Accepts a scalar or array of nonnegative J values.
+    reference.  Accepts a nonnegative J, which gives a float, or an array
+    of them, which gives a numpy array of the same shape (only then is
+    numpy imported).
     """
-    b = _b(state.sigma_plus_sq, state.sigma_minus_sq, _displacements(j))
-    return float(b) if b.ndim == 0 else b
+    b = partial(_b, state.sigma_plus_sq, state.sigma_minus_sq)
+    try:
+        iter(j)
+    except TypeError:  # one value
+        return b(_displacement(j))
+    import numpy as np
+
+    grid = np.asarray(j, dtype=object)  # each cell as given, for _displacement to check
+    values = np.fromiter(map(b, map(_displacement, grid.ravel().tolist())), float, grid.size)
+    return values.reshape(grid.shape) if grid.ndim else float(values[0])
 
 
 def maximize_b(state: GaussianEprState) -> BellResult:
@@ -119,8 +127,7 @@ def maximize_b(state: GaussianEprState) -> BellResult:
     J* = 0 exactly when sp = sm.  B_max is the reduced form at J*.
     """
     p = state.params
-    j_max, b_max, violates = _bell_max(p.r, p.eta, state.sigma_plus_sq, state.sigma_minus_sq)
-    return BellResult(j_max=float(j_max), b_max=float(b_max), violates=bool(violates))
+    return BellResult(*_bell_max(p.r, p.eta, state.sigma_plus_sq, state.sigma_minus_sq))
 
 
 def loss_bound_ok(params: EprParams) -> bool:
@@ -130,7 +137,7 @@ def loss_bound_ok(params: EprParams) -> bool:
     than one"); this sharp cut is a reading aid on scan rows, never a
     correctness gate.
     """
-    return bool(_loss_bound(params.r, params.eta))
+    return _loss_bound(params.r, params.eta)
 
 
 def scaled_chsh(v: float, theta: float, angles) -> ScaledChsh:

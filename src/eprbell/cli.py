@@ -19,13 +19,10 @@ import json
 import math
 import sys
 
-import numpy as np
-
 from . import report as report_mod
 from .bell import b_of_j, maximize_b, optimize_scaled_chsh
 from .criteria import CRITERIA_CSV_COLUMNS, classify
 from .epr_model import EprParams, GaussianEprState, make_state
-from .oracle import OracleConfig, mc_fidelity
 from .teleport import fidelity
 
 __all__ = ["main", "build_parser"]
@@ -61,10 +58,12 @@ def _write_fields(fields: dict, as_json: bool = False) -> None:
         print(f"{name}=" + ",".join(cells))
 
 
-def _j_grid(j_min: float, j_max: float, count: int) -> np.ndarray:
-    """The J grid of bell-scan and fig2: count uniform values on [j_min, j_max]."""
+def _j_grid(j_min: float, j_max: float, count: int):
+    """The J grid of bell-scan and fig2: count uniform values on [j_min, j_max], as a numpy array."""
     if count < 1 or not 0.0 <= j_min <= j_max < math.inf:
         raise ValueError(f"J grid needs 0 <= j-min <= j-max < inf and points >= 1, got {j_min}, {j_max}, {count}")
+    import numpy as np
+
     return np.linspace(j_min, j_max, count)
 
 
@@ -102,6 +101,8 @@ def _cmd_chsh(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    from .oracle import OracleConfig, mc_fidelity  # numpy is loaded only by the commands that use it
+
     state = _state(args)
     estimate = mc_fidelity(state, OracleConfig(samples=args.samples, seed=args.seed))
     analytic = fidelity(state).fidelity

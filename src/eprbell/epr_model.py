@@ -19,9 +19,11 @@ The beam splitters are never materialized as a channel: the traced-out
 result above is the only state ever needed, so construction bakes it in.
 A :class:`GaussianEprState` is built from its :class:`EprParams` alone and
 derives the variance pair from them; no pair is ever taken from outside.
-Every library output is a closed form of the variance pair; the Wigner
-density and the second moments, which the tests check those closed forms
-against, live in ``tests/reference.py``.
+Every library output is a closed form of the variance pair, each written
+once as a scalar kernel in ``math`` (such as :func:`_sigma_pair` and
+:func:`_mu_opt` here) that the scalar API and the figure tables both call,
+so neither needs numpy.  The Wigner density and the second moments, which
+the tests check those closed forms against, live in ``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -30,13 +32,10 @@ import math
 import sys
 from dataclasses import dataclass, field
 
-import numpy as np
-
 __all__ = [
     "EprParams",
     "GaussianEprState",
     "make_state",
-    "sigma_pair",
     "mu_opt",
 ]
 
@@ -86,7 +85,7 @@ class GaussianEprState:
     """Two-mode Gaussian state of the given knobs.
 
     Built from :class:`EprParams` alone; the (sigma_plus_sq, sigma_minus_sq)
-    pair is derived from them once, by :func:`sigma_pair`, so the knobs and
+    pair is derived from them once, by :func:`_sigma_pair`, so the knobs and
     the variances cannot disagree.  The knobs are retained because several
     derived reports (thermal threshold, sweep rows) need (r, eta, nbar),
     which cannot be recovered from the two variance scales alone.
@@ -97,16 +96,16 @@ class GaussianEprState:
     sigma_minus_sq: float = field(init=False)
 
     def __post_init__(self):
-        sigma_plus_sq, sigma_minus_sq = sigma_pair(self.params.r, self.params.eta, self.params.nbar)
-        object.__setattr__(self, "sigma_plus_sq", float(sigma_plus_sq))
-        object.__setattr__(self, "sigma_minus_sq", float(sigma_minus_sq))
+        sigma_plus_sq, sigma_minus_sq = _sigma_pair(self.params.r, self.params.eta, self.params.nbar)
+        object.__setattr__(self, "sigma_plus_sq", sigma_plus_sq)
+        object.__setattr__(self, "sigma_minus_sq", sigma_minus_sq)
 
 
-def sigma_pair(r, eta, nbar):
-    """(sigma_plus_sq, sigma_minus_sq) of the module docstring for floats or
-    broadcast-compatible arrays of already validated knobs."""
+def _sigma_pair(r: float, eta: float, nbar: float) -> tuple[float, float]:
+    """(sigma_plus_sq, sigma_minus_sq) of the module docstring for knobs that
+    EprParams has already validated; not public, since it checks none of them."""
     thermal = (1.0 - eta) * (1.0 + 2.0 * nbar)
-    return eta * np.exp(2.0 * r) + thermal, eta * np.exp(-2.0 * r) + thermal
+    return eta * math.exp(2.0 * r) + thermal, eta * math.exp(-2.0 * r) + thermal
 
 
 def make_state(params: EprParams) -> GaussianEprState:
@@ -118,12 +117,12 @@ def make_state(params: EprParams) -> GaussianEprState:
     return GaussianEprState(params)
 
 
-def _mu_opt(r, eta, sp, sm):
-    """:func:`mu_opt` for floats or broadcast-compatible arrays, with sp - sm
+def _mu_opt(r: float, eta: float, sp: float, sm: float) -> float:
+    """:func:`mu_opt` of the knobs and their variance pair, with sp - sm
     written as 2*eta*sinh(2r): the difference cancels the thermal term, and
     at small r every digit with it.  Where the true gain is within an ulp of
     1 the quotient can round above it, so it is capped at 1."""
-    return np.minimum(2.0 * eta * np.sinh(2.0 * r) / (sp + sm), 1.0)
+    return min(2.0 * eta * math.sinh(2.0 * r) / (sp + sm), 1.0)
 
 
 def mu_opt(state: GaussianEprState) -> float:
@@ -133,4 +132,4 @@ def mu_opt(state: GaussianEprState) -> float:
     perfect (r >> 1 at eta = 1).
     """
     p = state.params
-    return float(_mu_opt(p.r, p.eta, state.sigma_plus_sq, state.sigma_minus_sq))
+    return _mu_opt(p.r, p.eta, state.sigma_plus_sq, state.sigma_minus_sq)

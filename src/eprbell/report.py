@@ -12,15 +12,18 @@ The four datasets are:
   the squeezing parameter.
 
 Every quantity is a closed form of the variance pair (sp, sm), written
-once for floats or arrays and shared with the scalar API (``fidelity``,
-``maximize_b``, ...): each table is one call over the (eta, r) mesh, whose
-values EprParams validates, with rows in (eta descending, r ascending)
-order and Python float/bool cells.  Tables are written as CSV (header row,
-17 significant digits, "inf" for unbounded values) or JSON lines by one
-per-column codec, which the CLI's ``name=value`` lines share: a bool
-column is true/false, any other column floats, and a column mixing bools
-with numbers raises ValueError.  The readers apply the same rule to each
-whole column: a CSV column reads as booleans only when every cell is
+once as a scalar ``math`` kernel that the scalar API (``fidelity``,
+``maximize_b``, ...) calls too: each table maps those kernels over the
+(eta, r) mesh, whose values EprParams validates, with rows in
+(eta descending, r ascending) order and Python float/bool cells, so every
+cell is exactly the scalar API's value for its state.  numpy is imported
+only where it is used: by the grid constructors (``np.linspace``) and by
+the codec for columns of more than one cell.  Tables are written as CSV
+(header row, 17 significant digits, "inf" for unbounded values) or JSON
+lines by one per-column codec, which the CLI's ``name=value`` lines share:
+a bool column is true/false, any other column floats, and a column mixing
+bools with numbers raises ValueError.  The readers apply the same rule to
+each whole column: a CSV column reads as booleans only when every cell is
 true/false, and its float cells must be spelled as the writers spell them
 (a decimal or exponent number, inf, -inf or nan); JSONL takes NaN but not
 Infinity, which the writers never write.  The codec formats each distinct
@@ -36,11 +39,10 @@ import json
 import math
 import re
 from dataclasses import dataclass
+from functools import partial
 
-import numpy as np
-
-from .bell import _b, _bell_max, _displacements, _loss_bound
-from .epr_model import EprParams, _real, sigma_pair
+from .bell import _b, _bell_max, _displacement, _loss_bound
+from .epr_model import EprParams, _real, _sigma_pair
 from .teleport import _fidelity
 
 __all__ = [
@@ -88,24 +90,27 @@ class SweepSpec:
 
     def __post_init__(self):
         try:
-            object.__setattr__(self, "r_grid", tuple(float(r) for r in self.r_grid))
-            object.__setattr__(self, "eta_list", tuple(float(e) for e in self.eta_list))
-            object.__setattr__(self, "nbar", float(self.nbar))
+            object.__setattr__(self, "r_grid", tuple(map(float, self.r_grid)))
+            object.__setattr__(self, "eta_list", tuple(map(float, self.eta_list)))
         except (TypeError, ValueError, OverflowError):
-            raise ValueError(f"r_grid, eta_list and nbar must hold real numbers, got {self!r}") from None
-        if not self.r_grid:
-            raise ValueError("r_grid must be nonempty")
-        if not self.eta_list:
-            raise ValueError("eta_list must be nonempty")
-        # Every value goes through EprParams, the one validator of the knobs.
-        for r in self.r_grid:
-            EprParams(r, self.eta_list[0], self.nbar)
-        for eta in self.eta_list:
-            EprParams(self.r_grid[0], eta, self.nbar)
+            raise ValueError(f"r_grid and eta_list must hold real numbers, got {self!r}") from None
+        for name in ("r_grid", "eta_list"):
+            values = getattr(self, name)
+            if not values:
+                raise ValueError(f"{name} must be nonempty")
+            if not all(map(math.isfinite, values)):
+                bad = next(v for v in values if not math.isfinite(v))
+                raise ValueError(f"{name} must hold finite numbers, got {bad}")
+        # EprParams, the one validator of the knobs, bounds r and eta each by an
+        # interval, so the two extreme corners of the grid check every value in it.
+        EprParams(min(self.r_grid), min(self.eta_list), self.nbar)
+        object.__setattr__(self, "nbar", EprParams(max(self.r_grid), max(self.eta_list), self.nbar).nbar)
 
     @classmethod
     def from_range(cls, r_min: float, r_max: float, r_count: int, **kwargs) -> "SweepSpec":
-        if not isinstance(r_count, (int, np.integer)) or r_count < 1:
+        import numpy as np
+
+        if isinstance(r_count, bool) or not isinstance(r_count, (int, np.integer)) or r_count < 1:
             raise ValueError(f"r_count must be an integer >= 1, got {r_count!r}")
         return cls(r_grid=tuple(np.linspace(_real("r_min", r_min), _real("r_max", r_max), r_count)), **kwargs)
 
@@ -131,6 +136,8 @@ def default_fig1_spec(eta_list=DEFAULT_ETAS, nbar: float = 0.0) -> SweepSpec:
 
 def default_fig3_spec(eta_list=DEFAULT_ETAS, nbar: float = 0.0) -> SweepSpec:
     """The fig1 grid plus 100 extra points on (0, 0.1] resolving small-r windows."""
+    import numpy as np
+
     coarse = np.linspace(*DEFAULT_R_RANGES["fig3"])
     fine = np.linspace(0.001, 0.1, 100)
     grid = np.unique(np.concatenate([coarse, fine]))
@@ -145,24 +152,20 @@ def default_fig4_spec(eta_list=DEFAULT_ETAS, nbar: float = 0.0) -> SweepSpec:
 def default_fig2_j_grid() -> tuple[float, ...]:
     """201 uniform displacement values on [0, 2]; every default curve peaks
     well inside (the interior maximum sits below 0.35 * sigma_minus_sq)."""
+    import numpy as np
+
     return tuple(np.linspace(*DEFAULT_FIG2_J))
 
 
-def _mesh(spec: SweepSpec):
-    """(r, eta, nbar) as flat arrays over the grid, eta descending then r ascending."""
-    eta, r = np.meshgrid(sorted(spec.eta_list, reverse=True), sorted(spec.r_grid), indexing="ij")
-    return r.ravel(), eta.ravel(), np.full(r.size, spec.nbar)
-
-
-def _table(columns, *cells) -> Table:
-    """A Table whose column k holds cells[k], as Python floats and bools."""
-    return Table(columns=columns, rows=tuple(zip(*(c.tolist() for c in cells))))
+def _mesh(spec: SweepSpec) -> list[tuple[float, float, float]]:
+    """(r, eta, nbar) of every state of the grid, eta descending then r ascending."""
+    return [(r, eta, spec.nbar) for eta in sorted(spec.eta_list, reverse=True) for r in sorted(spec.r_grid)]
 
 
 def fig1(spec: SweepSpec) -> Table:
     """Fidelity versus squeezing: rows (r, eta, F), eta descending then r ascending."""
-    r, eta, nbar = _mesh(spec)
-    return _table(("r", "eta", "F"), r, eta, _fidelity(sigma_pair(r, eta, nbar)[1]))
+    rows = tuple((r, eta, _fidelity(_sigma_pair(r, eta, nbar)[1])) for r, eta, nbar in _mesh(spec))
+    return Table(columns=("r", "eta", "F"), rows=rows)
 
 
 def fig2(r_list, eta: float, j_grid, nbar: float = 0.0) -> Table:
@@ -173,26 +176,31 @@ def fig2(r_list, eta: float, j_grid, nbar: float = 0.0) -> Table:
 
 def fig2_stacked(r_list, eta_list, j_grid, nbar: float = 0.0) -> Table:
     """fig2 for several transmissions: rows (eta, r, J, B), eta descending."""
-    r, eta, nbar = _mesh(SweepSpec(r_grid=r_list, eta_list=eta_list, nbar=nbar))
-    j = _displacements(tuple(j_grid))
-    if not j.size:
+    mesh = _mesh(SweepSpec(r_grid=r_list, eta_list=eta_list, nbar=nbar))
+    j = tuple(map(_displacement, j_grid))
+    if not j:
         raise ValueError("j_grid must be nonempty")
-    sp, sm = sigma_pair(r, eta, nbar)
-    b = _b(sp[:, None], sm[:, None], j)
-    return _table(("eta", "r", "J", "B"), eta.repeat(j.size), r.repeat(j.size), np.tile(j, r.size), b.ravel())
+    rows = []
+    for r, eta, nbar in mesh:
+        b = partial(_b, *_sigma_pair(r, eta, nbar))
+        rows.extend((eta, r, x, b(x)) for x in j)
+    return Table(columns=("eta", "r", "J", "B"), rows=tuple(rows))
 
 
 def fig3(spec: SweepSpec) -> Table:
     """J-maximized B versus squeezing: rows (r, eta, B_max)."""
-    r, eta, nbar = _mesh(spec)
-    return _table(("r", "eta", "B_max"), r, eta, _bell_max(r, eta, *sigma_pair(r, eta, nbar))[1])
+    rows = tuple((r, eta, _bell_max(r, eta, *_sigma_pair(r, eta, nbar))[1]) for r, eta, nbar in _mesh(spec))
+    return Table(columns=("r", "eta", "B_max"), rows=rows)
+
+
+def _fig4_row(r: float, eta: float, nbar: float) -> tuple:
+    sp, sm = _sigma_pair(r, eta, nbar)  # sm is also the duan_sum column
+    return (r, eta, nbar, _fidelity(sm), sm, *_bell_max(r, eta, sp, sm), _loss_bound(r, eta))
 
 
 def fig4(spec: SweepSpec) -> Table:
     """Parametric fidelity/Bell trace: rows of BELL_SCAN_COLUMNS."""
-    r, eta, nbar = _mesh(spec)
-    sp, sm = sigma_pair(r, eta, nbar)  # sm is also the duan_sum column
-    return _table(BELL_SCAN_COLUMNS, r, eta, nbar, _fidelity(sm), sm, *_bell_max(r, eta, sp, sm), _loss_bound(r, eta))
+    return Table(columns=BELL_SCAN_COLUMNS, rows=tuple(_fig4_row(*state) for state in _mesh(spec)))
 
 
 _BOOL_TEXT = ("false", "true")
@@ -213,25 +221,32 @@ def column_text(name: str, values, json_form: bool = False) -> list[str]:
     """One column's cells as CSV (or JSON) text: bools as true/false, real numbers as
     floats, '%.17g' in CSV and json.dumps's text in JSON.  Each distinct float, by bit
     pattern (so 0.0 and -0.0, and NaNs of different sign, stay apart), is formatted once
-    and its text shared by every cell holding it.  Any other cell (None, text, an int beyond
-    the float range) or bools mixed with numbers raise ValueError: they would not read back."""
+    and its text shared by every cell holding it; a one-cell column, as in the CLI's
+    single results, has nothing to share and is formatted without numpy.  Any other cell
+    (None, text, an int beyond the float range) or bools mixed with numbers raise
+    ValueError: they would not read back."""
     types = _column_types(name, values)
     if bool in types:
         return list(map(_BOOL_TEXT.__getitem__, values))
     try:
         if any(issubclass(t, (str, bytes)) for t in types):  # float() would parse "1.5"; no reader gives text
             raise TypeError("text is not a number")
-        floats = np.fromiter(map(float, values), float, len(values))
+        if len(values) == 1:
+            distinct, cell_index = [float(values[0])], [0]
+        else:
+            import numpy as np
+
+            floats = np.fromiter(map(float, values), float, len(values))
+            bits, cell_index = np.unique(floats.view(np.uint64), return_inverse=True)
+            distinct, cell_index = bits.view(np.float64).tolist(), cell_index.tolist()
     except (TypeError, OverflowError) as exc:
         raise ValueError(f"column {name!r} holds a cell that is not a real number: {exc}") from None
-    bits, cell_index = np.unique(floats.view(np.uint64), return_inverse=True)
-    distinct = bits.view(np.float64).tolist()
     if json_form:
         texts = list(map(repr, distinct))
         texts = list(map(_JSON_NON_FINITE.get, texts, texts))
     else:
         texts = list(map("%.17g".__mod__, distinct))
-    return list(map(texts.__getitem__, cell_index.tolist()))
+    return list(map(texts.__getitem__, cell_index))
 
 
 def _check_columns(columns) -> None:

@@ -26,8 +26,8 @@ class FidelityResult:
     beats_two_thirds: bool  # F > 2/3, needs more than 3 dB of effective squeezing
 
 
-def _fidelity(duan):
-    """F = 1/(1 + duan_sum) for floats or arrays."""
+def _fidelity(duan: float) -> float:
+    """F = 1/(1 + duan_sum), the kernel that fidelity and the figure tables share."""
     return 1.0 / (1.0 + duan)
 
 

@@ -209,4 +209,4 @@ def test_criterion_12_deterministic_outputs(fig4_sweep):
     assert table_to_csv(fig2(DEFAULT_FIG2_R, 0.9, default_fig2_j_grid())) == outputs["fig2"]
     assert table_to_csv(fig3(default_fig3_spec())) == outputs["fig3"]
     assert table_to_csv(fig4(default_fig4_spec())) == outputs["fig4"]
-    done(12, "figure datasets byte-identical across runs")
+    done(12, "figure datasets byte-identical across runs on one machine")

@@ -10,6 +10,7 @@ import pytest
 from eprbell.cli import main
 from eprbell.report import DEFAULT_ETAS
 import eprbell
+import eprbell.oracle
 from eprbell import EprParams, OracleEstimate, b_of_j, duan_sum, fidelity, make_state, table_from_csv
 
 LN2_HALF = math.log(2.0) / 2.0
@@ -137,7 +138,7 @@ def test_oracle_fail_exit_code(monkeypatch, capsys):
     def off_by_four_se(state, config):
         return OracleEstimate(fidelity(state).fidelity + 4.0e-3, 1.0e-3, duan_sum(state))
 
-    monkeypatch.setattr(eprbell.cli, "mc_fidelity", off_by_four_se)
+    monkeypatch.setattr(eprbell.oracle, "mc_fidelity", off_by_four_se)
     code, out, _ = run(
         capsys, "oracle", "--r", "0.5", "--eta", "0.9",
         "--samples", "2000", "--seed", "1",
@@ -307,59 +308,59 @@ def test_figure_grid_flags_are_gone(capsys, argv):
     assert f"unrecognized arguments: {argv[1]} {argv[2]}" in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize(
-    "argv, code, expected",
-    [
-        (
-            ("fidelity", "--r", "0.3466", "--eta", "0.9"), 0,
-            "fidelity=0.64517118355245873\nbeats_classical=true\nbeats_two_thirds=false\n",
-        ),
-        (
-            ("fidelity", "--r", "0.3466", "--eta", "0.9", "--json"), 0,
-            '{"fidelity": 0.6451711835524587, "beats_classical": true, "beats_two_thirds": false}\n',
-        ),
-        (
-            ("criteria", "--r", "0.3466", "--eta", "0.9"), 0,
-            "r,eta,nbar,duan_sum,duan_nonseparable,mu,dx_mu_sq,dp_mu_sq,cond_var_x,cond_var_p,"
-            "gg_product,gg_hi_satisfied,gg_sum_satisfied,simon_mu_nonseparable,nbar_threshold\n"
-            "0.34660000000000002,0.90000000000000002,0,0.54997623187969036,true,0.55105287770726197,"
-            "0.2132605542818975,0.2132605542818975,0.2132605542818975,0.2132605542818975,"
-            "0.045480064012622147,true,true,true,2.2501188406015489\n",
-        ),
-        (
-            ("criteria", "--r", "0.3466", "--eta", "0.9", "--json"), 0,
-            '{"r": 0.3466, "eta": 0.9, "nbar": 0.0, "duan_sum": 0.5499762318796904, "duan_nonseparable": true, '
-            '"mu": 0.551052877707262, "dx_mu_sq": 0.2132605542818975, "dp_mu_sq": 0.2132605542818975, '
-            '"cond_var_x": 0.2132605542818975, "cond_var_p": 0.2132605542818975, "gg_product": 0.04548006401262215, '
-            '"gg_hi_satisfied": true, "gg_sum_satisfied": true, "simon_mu_nonseparable": true, '
-            '"nbar_threshold": 2.250118840601549, "gg_product_mu1": 0.07561846390814574, '
-            '"gg_hi_satisfied_mu1": false, "gg_sum_mu1": 0.5499762318796904, "gg_sum_satisfied_mu1": false}\n',
-        ),
-        (
-            ("bell-max", "--r", "0.3466", "--eta", "0.9"), 0,
-            "j_max=0.089060507855922982\nb_max=2.0094384374552408\nviolates=true\n",
-        ),
-        (
-            ("chsh", "--visibility", "0.87", "--theta", "0.3"), 0,
-            "visibility=0.87\ntheta=0.29999999999999999\n"
-            "angles=0,1.5707963267948966,1.0853981633974483,-0.48539816339744829\n"
-            "s_value=2.4607315985291853\nm_scale=1\n",
-        ),
-        (
-            ("oracle", "--r", "0.3466", "--eta", "0.9", "--samples", "20000", "--seed", "3"), 0,
-            "fidelity_hat=0.64622044870538908\nstd_error=0.0017305701344212466\n"
-            "duan_sum_hat=0.54710424279311864\nanalytic_fidelity=0.64517118355245873\n"
-            "abs_error=0.0010492651529303565\nband_3se=0.0051917104032637397\nresult=PASS\n",
-        ),
-        (
-            ("oracle", "--r", "0.3466", "--eta", "0.9", "--samples", "200003", "--seed", "3"), 0,
-            "fidelity_hat=0.64497977214588287\nstd_error=0.00054732275566043618\n"
-            "duan_sum_hat=0.54984258898229355\nanalytic_fidelity=0.64517118355245873\n"
-            "abs_error=0.00019141140657585876\nband_3se=0.0016419682669813085\nresult=PASS\n",
-        ),
-    ],
-    ids=["fidelity", "fidelity-json", "criteria", "criteria-json", "bell-max", "chsh", "oracle", "oracle-4-blocks"],
-)
+# (argv, exit code, stdout) of each single-result command whose output is pinned.
+PINNED = {
+    "fidelity": (
+        ("fidelity", "--r", "0.3466", "--eta", "0.9"), 0,
+        "fidelity=0.64517118355245873\nbeats_classical=true\nbeats_two_thirds=false\n",
+    ),
+    "fidelity-json": (
+        ("fidelity", "--r", "0.3466", "--eta", "0.9", "--json"), 0,
+        '{"fidelity": 0.6451711835524587, "beats_classical": true, "beats_two_thirds": false}\n',
+    ),
+    "criteria": (
+        ("criteria", "--r", "0.3466", "--eta", "0.9"), 0,
+        "r,eta,nbar,duan_sum,duan_nonseparable,mu,dx_mu_sq,dp_mu_sq,cond_var_x,cond_var_p,"
+        "gg_product,gg_hi_satisfied,gg_sum_satisfied,simon_mu_nonseparable,nbar_threshold\n"
+        "0.34660000000000002,0.90000000000000002,0,0.54997623187969036,true,0.55105287770726197,"
+        "0.2132605542818975,0.2132605542818975,0.2132605542818975,0.2132605542818975,"
+        "0.045480064012622147,true,true,true,2.2501188406015489\n",
+    ),
+    "criteria-json": (
+        ("criteria", "--r", "0.3466", "--eta", "0.9", "--json"), 0,
+        '{"r": 0.3466, "eta": 0.9, "nbar": 0.0, "duan_sum": 0.5499762318796904, "duan_nonseparable": true, '
+        '"mu": 0.551052877707262, "dx_mu_sq": 0.2132605542818975, "dp_mu_sq": 0.2132605542818975, '
+        '"cond_var_x": 0.2132605542818975, "cond_var_p": 0.2132605542818975, "gg_product": 0.04548006401262215, '
+        '"gg_hi_satisfied": true, "gg_sum_satisfied": true, "simon_mu_nonseparable": true, '
+        '"nbar_threshold": 2.250118840601549, "gg_product_mu1": 0.07561846390814574, '
+        '"gg_hi_satisfied_mu1": false, "gg_sum_mu1": 0.5499762318796904, "gg_sum_satisfied_mu1": false}\n',
+    ),
+    "bell-max": (
+        ("bell-max", "--r", "0.3466", "--eta", "0.9"), 0,
+        "j_max=0.089060507855922982\nb_max=2.0094384374552408\nviolates=true\n",
+    ),
+    "chsh": (
+        ("chsh", "--visibility", "0.87", "--theta", "0.3"), 0,
+        "visibility=0.87\ntheta=0.29999999999999999\n"
+        "angles=0,1.5707963267948966,1.0853981633974483,-0.48539816339744829\n"
+        "s_value=2.4607315985291853\nm_scale=1\n",
+    ),
+    "oracle": (
+        ("oracle", "--r", "0.3466", "--eta", "0.9", "--samples", "20000", "--seed", "3"), 0,
+        "fidelity_hat=0.64622044870538908\nstd_error=0.0017305701344212466\n"
+        "duan_sum_hat=0.54710424279311864\nanalytic_fidelity=0.64517118355245873\n"
+        "abs_error=0.0010492651529303565\nband_3se=0.0051917104032637397\nresult=PASS\n",
+    ),
+    "oracle-4-blocks": (
+        ("oracle", "--r", "0.3466", "--eta", "0.9", "--samples", "200003", "--seed", "3"), 0,
+        "fidelity_hat=0.64497977214588287\nstd_error=0.00054732275566043618\n"
+        "duan_sum_hat=0.54984258898229355\nanalytic_fidelity=0.64517118355245873\n"
+        "abs_error=0.00019141140657585876\nband_3se=0.0016419682669813085\nresult=PASS\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv, code, expected", PINNED.values(), ids=PINNED.keys())
 def test_single_result_stdout_is_pinned(capsys, argv, code, expected):
     assert run(capsys, *argv) == (code, expected, "")
 
@@ -410,6 +411,58 @@ def test_cli_import_leaves_scipy_unloaded():
     )
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert done.stdout.strip() == "[0, 0, 0, 0, 0, 0, 0] False"
+
+
+def test_one_state_commands_leave_numpy_unloaded():
+    # The closed forms import only math: a one-state command, rejected inputs included, never loads numpy.
+    env = dict(os.environ, PYTHONPATH=str(Path(eprbell.__file__).resolve().parents[1]))
+    code = (
+        "import contextlib, io, sys, eprbell.cli\n"
+        "state = ['--r', '0.5', '--eta', '0.9']\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        "    codes = [eprbell.cli.main(argv) for argv in (\n"
+        "        ['fidelity', *state], ['fidelity', *state, '--json'], ['criteria', *state],\n"
+        "        ['criteria', *state, '--json'], ['criteria', *state, '--mu', '0.8'], ['bell-max', *state],\n"
+        "        ['fidelity', '--r', '0.5', '--eta', '1.5'], ['criteria', '--r', '354.9', '--eta', '0.9'])]\n"
+        "print(codes, 'numpy' in sys.modules)"
+    )
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[0, 0, 0, 0, 0, 0, 2, 2] False"
+
+
+# numpy's dispatched x86 loops; switching them off leaves numpy's baseline path, whose exp and log1p are libm's.
+NUMPY_DISPATCH_OFF = "AVX512_SPR AVX512_ICL X86_V4 X86_V3"
+
+
+def test_outputs_do_not_depend_on_numpy_cpu_path():
+    """The default figure CSVs and the pinned single results are byte-identical with
+    numpy's dispatched loops on and off: every closed form goes through math (libm),
+    and the oracle's results agree on both paths.  numpy ignores a feature that the CPU
+    lacks (with an ImportWarning), so on such a CPU both runs take one path; the test
+    prints which of the features were on."""
+    env = dict(os.environ, PYTHONPATH=str(Path(eprbell.__file__).resolve().parents[1]))
+    env.pop("NPY_DISABLE_CPU_FEATURES", None)
+    code = (
+        "import contextlib, io, json, sys, eprbell.cli\n"
+        f"pinned = {[argv for argv, _, _ in PINNED.values()]!r}\n"
+        "out = {}\n"
+        "for argv in [[name] for name in ('fig1', 'fig2', 'fig3', 'fig4')] + pinned:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()) as text:\n"
+        "        eprbell.cli.main(list(argv))\n"
+        "    out[' '.join(argv)] = text.getvalue()\n"
+        "from numpy._core._multiarray_umath import __cpu_features__\n"
+        f"on = [name for name in {NUMPY_DISPATCH_OFF.split()!r} if __cpu_features__.get(name)]\n"
+        "print(json.dumps([on, out]))"
+    )
+    runs = []
+    for extra in ({}, {"NPY_DISABLE_CPU_FEATURES": NUMPY_DISPATCH_OFF}):
+        done = subprocess.run([sys.executable, "-c", code], env={**env, **extra}, capture_output=True, text=True,
+                              check=True)
+        runs.append(json.loads(done.stdout))
+    (on, outputs), (off, outputs_off) = runs
+    print(f"NPY_DISABLE_CPU_FEATURES={NUMPY_DISPATCH_OFF!r} switched off {on or 'none'} (left on: {off or 'none'})")
+    assert not off
+    assert [name for name in outputs if outputs[name] != outputs_off[name]] == []
 
 
 def test_make_figures_writes_what_the_figure_subcommands_print(tmp_path, capsys):

@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 import eprbell
 from eprbell import (
     EprParams, GaussianEprState, OracleConfig, SweepSpec, Table, fidelity, make_state, maximize_b, mu_opt, report,
-    sigma_pair,
 )
+from eprbell.epr_model import _sigma_pair
 from reference import exact, reference_samples, second_moments, wigner
 
 LN2_HALF = math.log(2.0) / 2.0
@@ -151,13 +151,12 @@ NO_NUMBER_ARGUMENT = {
     "maximize_b", "loss_bound_ok", "mc_fidelity", "fig1", "fig3", "fig4", "default_fig2_j_grid",
     "table_from_csv", "table_from_jsonl",
 }
-# Result records store what they are given; sigma_pair is the array kernel over knobs
-# that EprParams or SweepSpec has already validated, as its docstring says, and checks none.
-NOT_VALIDATING = {"BellResult", "CriteriaReport", "FidelityResult", "OracleEstimate", "ScaledChsh", "Table", "sigma_pair"}
+# Result records store what they are given.
+NOT_VALIDATING = {"BellResult", "CriteriaReport", "FidelityResult", "OracleEstimate", "ScaledChsh", "Table"}
 
 
 def test_number_slots_cover_every_public_callable():
-    public = {name for name, obj in vars(eprbell).items() if callable(obj) and not name.startswith("_")}
+    public = {name for name in eprbell.__all__ if callable(getattr(eprbell, name))}
     public |= {name for name in report.__all__ if callable(getattr(report, name))}
     assert public == {slot.split(".")[0] for slot in NUMBER_SLOTS} | NO_NUMBER_ARGUMENT | NOT_VALIDATING
 
@@ -362,5 +361,5 @@ def test_state_takes_no_variance_pair_from_outside():
 @given(params_st)
 def test_state_derives_its_variance_pair_from_its_knobs(params):
     s = GaussianEprState(params)
-    assert (s.sigma_plus_sq, s.sigma_minus_sq) == sigma_pair(params.r, params.eta, params.nbar)
+    assert (s.sigma_plus_sq, s.sigma_minus_sq) == _sigma_pair(params.r, params.eta, params.nbar)
     assert make_state(params) == s

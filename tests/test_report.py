@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -49,8 +50,28 @@ def test_spec_validation():
         SweepSpec(r_grid=(0.5,), nbar=-1.0)
     with pytest.raises(ValueError, match="overflow"):
         SweepSpec(r_grid=(400.0,))  # beyond the overflow edge of EprParams
-    with pytest.raises(ValueError, match="r_count"):
-        SweepSpec.from_range(0.0, 1.0, 0)
+    for count in (0, True):  # a bool count is rejected, as the CLI's config schema and OracleConfig do
+        with pytest.raises(ValueError, match="r_count"):
+            SweepSpec.from_range(0.0, 1.0, count)
+
+
+R_EDGE = math.log(sys.float_info.max) / 2.0
+
+
+@pytest.mark.parametrize("where", [0, 2, 4], ids=["first", "middle", "last"])
+@pytest.mark.parametrize(
+    "name, bad",
+    [("r_grid", math.nan), ("r_grid", math.inf), ("r_grid", -0.5), ("r_grid", math.nextafter(R_EDGE, math.inf)),
+     ("eta_list", math.nan), ("eta_list", -math.inf), ("eta_list", -0.1), ("eta_list", 1.1)],
+    ids=["r-nan", "r-inf", "r-negative", "r-over-edge", "eta-nan", "eta-minus-inf", "eta-negative", "eta-above-1"],
+)
+def test_spec_rejects_a_bad_value_anywhere_in_its_grid(name, bad, where):
+    # SweepSpec checks the grid's extreme corners through EprParams; a bad value in
+    # the middle of a grid, a NaN too, must still raise.
+    grid = [0.1, 0.2, 0.3, 0.4, 0.5]
+    grid[where] = bad
+    with pytest.raises(ValueError):
+        SweepSpec(**{"r_grid": (0.3,), "eta_list": (0.9,), name: tuple(grid)})
 
 
 def test_spec_from_range():
