@@ -24,7 +24,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import partial
 
 from .epr_model import EprParams, GaussianEprState, _mu_opt, _real
 
@@ -86,7 +85,7 @@ def _displacement(j) -> float:
     return value
 
 
-def b_of_j(state: GaussianEprState, j):
+def b_of_j(state: GaussianEprState, j: float) -> float:
     """CHSH combination of four displaced-parity correlations at displacement J.
 
     Evaluated in reduced form: with sp = sigma_plus_sq and sm = sigma_minus_sq,
@@ -95,20 +94,10 @@ def b_of_j(state: GaussianEprState, j):
         B(J) = [1 + 2*exp(-a*J) - exp(-b*J)] / (sp*sm),  a = 1/sp + 1/sm,  b = 4/sm.
 
     The four-term sum in ``tests/reference.py`` is the independent
-    reference.  Accepts a nonnegative J, which gives a float, or an array
-    of them, which gives a numpy array of the same shape (only then is
-    numpy imported).
+    reference.  Takes one nonnegative J and returns a float; for a grid,
+    call it once per J.
     """
-    b = partial(_b, state.sigma_plus_sq, state.sigma_minus_sq)
-    try:
-        iter(j)
-    except TypeError:  # one value
-        return b(_displacement(j))
-    import numpy as np
-
-    grid = np.asarray(j, dtype=object)  # each cell as given, for _displacement to check
-    values = np.fromiter(map(b, map(_displacement, grid.ravel().tolist())), float, grid.size)
-    return values.reshape(grid.shape) if grid.ndim else float(values[0])
+    return _b(state.sigma_plus_sq, state.sigma_minus_sq, _displacement(j))
 
 
 def maximize_b(state: GaussianEprState) -> BellResult:

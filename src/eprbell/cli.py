@@ -58,13 +58,11 @@ def _write_fields(fields: dict, as_json: bool = False) -> None:
         print(f"{name}=" + ",".join(cells))
 
 
-def _j_grid(j_min: float, j_max: float, count: int):
-    """The J grid of bell-scan and fig2: count uniform values on [j_min, j_max], as a numpy array."""
+def _j_grid(j_min: float, j_max: float, count: int) -> list[float]:
+    """The J grid of bell-scan and fig2: count uniform values on [j_min, j_max]."""
     if count < 1 or not 0.0 <= j_min <= j_max < math.inf:
         raise ValueError(f"J grid needs 0 <= j-min <= j-max < inf and points >= 1, got {j_min}, {j_max}, {count}")
-    import numpy as np
-
-    return np.linspace(j_min, j_max, count)
+    return report_mod._linspace(j_min, j_max, count, "j")
 
 
 def _cmd_fidelity(args) -> int:
@@ -84,9 +82,8 @@ def _cmd_criteria(args) -> int:
 
 def _cmd_bell_scan(args) -> int:
     state = _state(args)
-    grid = _j_grid(args.j_min, args.j_max, args.points)
-    table = report_mod.Table(columns=("J", "B"), rows=tuple(zip(grid.tolist(), b_of_j(state, grid).tolist())))
-    _emit(report_mod.table_to_csv(table), None)
+    rows = tuple((j, b_of_j(state, j)) for j in _j_grid(args.j_min, args.j_max, args.points))
+    _emit(report_mod.table_to_csv(report_mod.Table(columns=("J", "B"), rows=rows)), None)
     return 0
 
 

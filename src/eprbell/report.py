@@ -16,9 +16,9 @@ once as a scalar ``math`` kernel that the scalar API (``fidelity``,
 ``maximize_b``, ...) calls too: each table maps those kernels over the
 (eta, r) mesh, whose values EprParams validates, with rows in
 (eta descending, r ascending) order and Python float/bool cells, so every
-cell is exactly the scalar API's value for its state.  numpy is imported
-only where it is used: by the grid constructors (``np.linspace``) and by
-the codec for columns of more than one cell.  Tables are written as CSV
+cell is exactly the scalar API's value for its state.  The grids are built
+in plain Python, bit for bit as numpy.linspace builds them; numpy is imported
+only by the codec, for columns of more than one cell.  Tables are written as CSV
 (header row, 17 significant digits, "inf" for unbounded values) or JSON
 lines by one per-column codec, which the CLI's ``name=value`` lines share:
 a bool column is true/false, any other column floats, and a column mixing
@@ -37,6 +37,8 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
+import operator
 import re
 from dataclasses import dataclass
 from functools import partial
@@ -108,11 +110,25 @@ class SweepSpec:
 
     @classmethod
     def from_range(cls, r_min: float, r_max: float, r_count: int, **kwargs) -> "SweepSpec":
-        import numpy as np
+        return cls(r_grid=_linspace(r_min, r_max, r_count, "r"), **kwargs)
 
-        if isinstance(r_count, bool) or not isinstance(r_count, (int, np.integer)) or r_count < 1:
-            raise ValueError(f"r_count must be an integer >= 1, got {r_count!r}")
-        return cls(r_grid=tuple(np.linspace(_real("r_min", r_min), _real("r_max", r_max), r_count)), **kwargs)
+
+def _linspace(start, stop, count, axis: str) -> list[float]:
+    """count uniform values from start to stop by numpy.linspace's float operations, in its
+    order: k*step + start (k/div*delta + start where step underflows to 0), then stop."""
+    start, stop = _real(f"{axis}_min", start), _real(f"{axis}_max", stop)
+    if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < 1:
+        raise ValueError(f"{axis}_count must be an integer >= 1, got {count!r}")
+    count = operator.index(count)  # a numpy integer becomes a Python int
+    try:  # one allocation, so a count beyond memory fails before any value is formed
+        grid = [stop] * count
+    except (MemoryError, OverflowError):
+        raise ValueError(f"a grid of {count} points does not fit in memory") from None
+    delta, div = stop - start, max(count - 1, 1)
+    step = delta / div
+    for k in range(div):  # with count > 1 the last value stays stop
+        grid[k] = k * step + start if step else k / div * delta + start
+    return grid
 
 
 # The fig4 columns: one (r, eta) sweep sample with fidelity and Bell diagnostics.
@@ -136,12 +152,8 @@ def default_fig1_spec(eta_list=DEFAULT_ETAS, nbar: float = 0.0) -> SweepSpec:
 
 def default_fig3_spec(eta_list=DEFAULT_ETAS, nbar: float = 0.0) -> SweepSpec:
     """The fig1 grid plus 100 extra points on (0, 0.1] resolving small-r windows."""
-    import numpy as np
-
-    coarse = np.linspace(*DEFAULT_R_RANGES["fig3"])
-    fine = np.linspace(0.001, 0.1, 100)
-    grid = np.unique(np.concatenate([coarse, fine]))
-    return SweepSpec(r_grid=tuple(grid), eta_list=eta_list, nbar=nbar)
+    grid = {*_linspace(*DEFAULT_R_RANGES["fig3"], "r"), *_linspace(0.001, 0.1, 100, "r")}
+    return SweepSpec(r_grid=sorted(grid), eta_list=eta_list, nbar=nbar)
 
 
 def default_fig4_spec(eta_list=DEFAULT_ETAS, nbar: float = 0.0) -> SweepSpec:
@@ -152,9 +164,7 @@ def default_fig4_spec(eta_list=DEFAULT_ETAS, nbar: float = 0.0) -> SweepSpec:
 def default_fig2_j_grid() -> tuple[float, ...]:
     """201 uniform displacement values on [0, 2]; every default curve peaks
     well inside (the interior maximum sits below 0.35 * sigma_minus_sq)."""
-    import numpy as np
-
-    return tuple(np.linspace(*DEFAULT_FIG2_J))
+    return tuple(_linspace(*DEFAULT_FIG2_J, "j"))
 
 
 def _mesh(spec: SweepSpec) -> list[tuple[float, float, float]]:
@@ -259,6 +269,8 @@ def _check_columns(columns) -> None:
 
 def _text_columns(table: Table, json_form: bool) -> list[list[str]]:
     """The cell texts of each column, after checking that the header and rows read back."""
+    if not table.columns or json_form and not table.rows:  # JSONL has no header line to hold the names
+        raise ValueError("a table needs a column, and in JSONL a row, or it would not read back")
     _check_columns(table.columns)
     if set(map(len, table.rows)) - {len(table.columns)}:
         raise ValueError(f"every row must have the {len(table.columns)} cells of the header")

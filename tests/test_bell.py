@@ -83,7 +83,7 @@ def test_b_at_zero_displacement():
 def test_b_vacuum_never_violates():
     s = state(0.0, 1.0)
     js = np.linspace(0.0, 10.0, 500)
-    values = b_of_j(s, js)
+    values = np.array([b_of_j(s, j) for j in js])
     np.testing.assert_allclose(values, 1.0 + 2.0 * np.exp(-2 * js) - np.exp(-4 * js), rtol=1e-13)
     assert np.all(values <= 2.0 + 1e-15)
     assert values[0] == pytest.approx(2.0, abs=1e-15)
@@ -100,6 +100,14 @@ def test_b_rejects_bad_displacement():
         b_of_j(state(0.5, 0.9), -0.1)
     with pytest.raises(ValueError):
         b_of_j(state(0.5, 0.9), math.nan)
+
+
+@pytest.mark.parametrize("grid", [(0.1, 0.2), [0.1], np.array([0.1, 0.2])], ids=["tuple", "list", "ndarray"])
+def test_b_of_j_takes_one_displacement(grid):
+    # b_of_j maps one J to one float, as every kernel wrapper does; a grid is a call per J.
+    with pytest.raises(ValueError, match="j must be a real number"):
+        b_of_j(state(0.5, 0.9), grid)
+    assert type(b_of_j(state(0.5, 0.9), np.float64(0.1))) is float
 
 
 @settings(max_examples=150)
@@ -166,8 +174,8 @@ def test_maximize_beats_dense_grid():
     ]:
         s = state(r, eta, nbar)
         result = maximize_b(s)
-        dense = b_of_j(s, np.linspace(0.0, 30.0 * s.sigma_minus_sq, 20001))
-        assert result.b_max >= float(np.max(dense)) - 1e-12
+        dense = max(b_of_j(s, j) for j in np.linspace(0.0, 30.0 * s.sigma_minus_sq, 20001))
+        assert result.b_max >= dense - 1e-12
 
 
 def test_maximize_mixed_state_counterexample():

@@ -272,6 +272,11 @@ def test_shared_config_accepted_by_every_figure(tmp_path, capsys, figure):
         (("criteria", "--r", "1", "--eta", "0.9", "--mu", "1e160"), None, "mu "),
         (("criteria", "--r", "354", "--eta", "1", "--mu", "0"), None, "mu "),
         (("oracle", "--r", "0.5", "--eta", "0.9", "--samples", "1", "--seed", "1"), None, "samples must be an integer >= 2"),
+        # grids whose single allocation fails at once (8 PB); counts that merely exhaust memory are not tried
+        (("fig1",), {"r_count": 10**15}, "1000000000000000 points"),
+        (("fig2",), {"j_count": 10**15}, "1000000000000000 points"),
+        (("bell-scan", "--r", "0.5", "--eta", "0.9", "--j-min", "0", "--j-max", "1", "--points", "1000000000000000"),
+         None, "1000000000000000 points"),
     ],
     ids=[
         "fidelity-overflow-r", "fig1-overflow-r_max", "fig2-empty-eta_list",
@@ -279,6 +284,7 @@ def test_shared_config_accepted_by_every_figure(tmp_path, capsys, figure):
         "fig3-unknown-key", "fig2-unknown-key", "fig1-fractional-r_count", "fig4-boolean-eta",
         "fig1-string-r_list", "fig2-float-j_count", "chsh-nan-theta", "fidelity-huge-nbar",
         "fig1-huge-nbar", "criteria-huge-mu", "criteria-mu-gg-product-overflow", "oracle-one-sample",
+        "fig1-unallocatable-r_count", "fig2-unallocatable-j_count", "bell-scan-unallocatable-points",
     ],
 )
 def test_rejected_input_exits_2_with_one_error_line(tmp_path, capsys, argv, config, names):

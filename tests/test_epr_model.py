@@ -111,7 +111,6 @@ NUMBER_SLOTS = {
     "mu_variances.mu": lambda v: eprbell.mu_variances(_STATE, v),
     "classify.mu": lambda v: eprbell.classify(_STATE, v),
     "b_of_j.j": lambda v: eprbell.b_of_j(_STATE, v),
-    "b_of_j.j_grid": lambda v: eprbell.b_of_j(_STATE, (0.1, v)),
     "scaled_chsh.v": lambda v: eprbell.scaled_chsh(v, 0.0, (0.0, 1.0, 2.0, 3.0)),
     "scaled_chsh.theta": lambda v: eprbell.scaled_chsh(0.9, v, (0.0, 1.0, 2.0, 3.0)),
     "scaled_chsh.angle": lambda v: eprbell.scaled_chsh(0.9, 0.0, (0.0, 1.0, 2.0, v)),

@@ -1,7 +1,11 @@
 import json
 import math
+import os
+import random
 import re
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,9 +28,13 @@ from eprbell import (
     table_to_csv,
     table_to_jsonl,
 )
+import eprbell
 from eprbell.report import (
     DEFAULT_ETAS,
+    DEFAULT_FIG2_J,
     DEFAULT_FIG2_R,
+    DEFAULT_R_RANGES,
+    _linspace,
     default_fig1_spec,
     default_fig2_j_grid,
     default_fig3_spec,
@@ -77,6 +85,61 @@ def test_spec_rejects_a_bad_value_anywhere_in_its_grid(name, bad, where):
 def test_spec_from_range():
     spec = SweepSpec.from_range(0.0, 3.0, 4, eta_list=(0.9,))
     assert spec.r_grid == (0.0, 1.0, 2.0, 3.0)
+
+
+def _linspace_corpus():
+    """(start, stop, count) of the default grids and of seeded random grids, with the
+    edges of numpy.linspace's float path: one point, start = stop, a descending grid,
+    -0.0, a step that underflows to 0 and a numpy integer count."""
+    cases = [*DEFAULT_R_RANGES.values(), DEFAULT_FIG2_J, (0.001, 0.1, 100)]
+    cases += [(0.0, 1.0, 1), (-0.0, -0.0, 1), (-0.0, 2.0, 1), (1.5, 1.5, 6), (3.0, -2.0, 9), (-0.0, 1.0, 5),
+              (0.0, -0.0, 4), (0.0, 5e-324, 3), (-0.0, 1e-320, 1000), (2.5, 2.5, 1), (0.0, 1.0, np.int64(5))]
+    rng = random.Random(24)
+    for _ in range(2000):
+        start, stop = rng.choice([
+            (rng.uniform(-10.0, 10.0), rng.uniform(-10.0, 10.0)),
+            (rng.uniform(0.0, 400.0),) * 2,
+            (rng.choice([0.0, -0.0, 5e-324, -5e-324]), rng.choice([0.0, -0.0, 5e-324, 1e-310, -1e-315])),
+        ])
+        cases.append((start, stop, rng.choice([1, 2, 3, rng.randrange(1, 1000)])))
+    return cases
+
+
+def test_linspace_is_numpy_linspace_bit_for_bit():
+    for start, stop, count in _linspace_corpus():
+        grid = _linspace(start, stop, count, "x")
+        assert all(type(value) is float for value in grid)
+        assert list(map(float.hex, grid)) == list(map(float.hex, np.linspace(start, stop, count).tolist()))
+    union = np.unique(np.concatenate([np.linspace(*DEFAULT_R_RANGES["fig3"]), np.linspace(0.001, 0.1, 100)]))
+    assert list(map(float.hex, default_fig3_spec().r_grid)) == list(map(float.hex, union.tolist()))
+
+
+@pytest.mark.parametrize("count", [10**15, 10**400], ids=["unallocatable", "beyond-index"])
+def test_from_range_rejects_a_count_beyond_memory(count):
+    # The grid is allocated in one step, which fails at once for these counts; counts that
+    # would fill memory before failing (~1e9) are not tried.
+    with pytest.raises(ValueError, match="does not fit in memory"):
+        SweepSpec.from_range(0.0, 1.0, count)
+
+
+def test_grids_and_tables_leave_numpy_unloaded():
+    # Grid constructors, tables and the scalar b_of_j are plain Python; numpy is the codec's and the oracle's.
+    env = dict(os.environ, PYTHONPATH=str(Path(eprbell.__file__).resolve().parents[1]))
+    code = (
+        "import sys\n"
+        "from eprbell import report as rp\n"
+        "from eprbell.bell import b_of_j\n"
+        "from eprbell.epr_model import EprParams, make_state\n"
+        "specs = [rp.SweepSpec.from_range(0.0, 1.0, 5), rp.default_fig1_spec(), rp.default_fig3_spec(),\n"
+        "         rp.default_fig4_spec()]\n"
+        "rows = [len(rp.fig1(specs[1]).rows), len(rp.fig3(specs[2]).rows), len(rp.fig4(specs[3]).rows),\n"
+        "        len(rp.fig2(rp.DEFAULT_FIG2_R, 0.9, rp.default_fig2_j_grid()).rows),\n"
+        "        len(rp.fig2_stacked(rp.DEFAULT_FIG2_R, rp.DEFAULT_ETAS, rp.default_fig2_j_grid()).rows)]\n"
+        "b = b_of_j(make_state(EprParams(0.5, 0.9)), 0.1)\n"
+        "print(rows, type(b).__name__, 'numpy' in sys.modules)"
+    )
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[800, 1200, 1600, 804, 3216] float False"
 
 
 def test_fig1_default_shape_and_order():
@@ -285,7 +348,8 @@ CODEC_TABLES = {
 def test_column_writers_match_the_per_cell_codec(name):
     table = CODEC_TABLES[name]()
     assert table_to_csv(table) == _reference_csv(table)
-    assert table_to_jsonl(table) == _reference_jsonl(table)
+    if table.rows:  # JSONL has no header line, so the writer rejects a table without rows
+        assert table_to_jsonl(table) == _reference_jsonl(table)
 
 
 # The per-cell readers the column readers replaced, kept as the reference for their cells.
@@ -440,4 +504,21 @@ def test_writers_reject_cells_that_are_not_real_numbers(cell):
     table = Table(columns=("a",), rows=((0.5,), (cell,)))
     for write in (table_to_csv, table_to_jsonl):
         with pytest.raises(ValueError, match="column 'a'"):
+            write(table)
+
+
+@pytest.mark.parametrize(
+    "table, writers",
+    [
+        (Table((), ((), ())), (table_to_csv, table_to_jsonl)),
+        (Table((), ()), (table_to_csv, table_to_jsonl)),
+        (Table(("a", "b"), ()), (table_to_jsonl,)),
+    ],
+    ids=["no-columns", "empty", "jsonl-no-rows"],
+)
+def test_writers_reject_tables_that_would_not_read_back(table, writers):
+    # With no columns both formats would write "\n", dropping the rows; JSONL has no header
+    # line, so a table with no rows would lose its columns.
+    for write in writers:
+        with pytest.raises(ValueError, match="would not read back"):
             write(table)
