@@ -25,7 +25,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .epr_model import EprParams, GaussianEprState, _mu_opt, _real
+from .epr_model import EprParams, GaussianEprState, _mu_opt, _real, _reals
 
 __all__ = [
     "BellResult",
@@ -139,7 +139,7 @@ def scaled_chsh(v: float, theta: float, angles) -> ScaledChsh:
     v, theta = _real("visibility", v), _real("theta", theta)
     if not 0.0 <= v <= 1.0:
         raise ValueError(f"visibility must be in [0, 1], got {v!r}")
-    angles = tuple(_real("angle", a) for a in angles)
+    angles = _reals("angles", angles)
     if len(angles) != 4:
         raise ValueError(f"angles must be a quadruple, got {len(angles)} values")
     phi1, phi1p, phi2, phi2p = angles

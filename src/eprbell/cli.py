@@ -7,8 +7,10 @@ when the ``oracle`` subcommand's statistical comparison fails its
 Figure subcommands take their grid from an optional JSON config, the one
 way to set it, whose keys mirror :class:`eprbell.report.SweepSpec`
 (``r_list`` or ``r_min``/``r_max``/``r_count``, ``eta_list``, ``nbar``;
-fig2 additionally ``j_min``/``j_max``/``j_count``).  Any other key, and a
-value of the wrong JSON type, is rejected with exit code 2.
+fig2 additionally ``j_min``/``j_max``/``j_count``).  Each key, read or not, is held
+to the library's rule: a finite number (not a bool or text), a list of them, or a
+count >= 1.  A value that breaks it, any other key, and ``r_list`` given with a
+range key are rejected with exit code 2.
 """
 
 from __future__ import annotations
@@ -16,13 +18,12 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
 
 from . import report as report_mod
 from .bell import b_of_j, maximize_b, optimize_scaled_chsh
 from .criteria import CRITERIA_CSV_COLUMNS, classify
-from .epr_model import EprParams, GaussianEprState, make_state
+from .epr_model import EprParams, GaussianEprState, _count, _real, _reals, make_state
 from .teleport import fidelity
 
 __all__ = ["main", "build_parser"]
@@ -60,8 +61,8 @@ def _write_fields(fields: dict, as_json: bool = False) -> None:
 
 def _j_grid(j_min: float, j_max: float, count: int) -> list[float]:
     """The J grid of bell-scan and fig2: count uniform values on [j_min, j_max]."""
-    if count < 1 or not 0.0 <= j_min <= j_max < math.inf:
-        raise ValueError(f"J grid needs 0 <= j-min <= j-max < inf and points >= 1, got {j_min}, {j_max}, {count}")
+    if not 0.0 <= j_min <= j_max:  # _linspace checks that both are finite, and the count
+        raise ValueError(f"J grid needs 0 <= j-min <= j-max, got {j_min}, {j_max}")
     return report_mod._linspace(j_min, j_max, count, "j")
 
 
@@ -111,46 +112,22 @@ def _cmd_oracle(args) -> int:
     return 0 if ok else 1
 
 
-def _number(value) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(value)
-    return float(value)  # OverflowError for an integer beyond the float range
-
-
-def _count(value) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(value)
-    return value
-
-
-def _numbers(value) -> tuple[float, ...]:
-    if not isinstance(value, list):
-        raise TypeError(value)
-    return tuple(map(_number, value))
-
-
 # One schema for all four figures, because one config file may serve them all;
 # each figure reads the keys it uses (j_* for fig2 only, r_min/r_max/r_count
-# for fig1/fig3/fig4 only).
+# for fig1/fig3/fig4 only), but every key is held to its library rule.
 _CONFIG_KEYS = {
-    "r_list": (_numbers, "a list of numbers"),
-    "r_min": (_number, "a number"),
-    "r_max": (_number, "a number"),
-    "r_count": (_count, "an integer"),
-    "eta_list": (_numbers, "a list of numbers"),
-    "nbar": (_number, "a number"),
-    "j_min": (_number, "a number"),
-    "j_max": (_number, "a number"),
-    "j_count": (_count, "an integer"),
+    "r_list": _reals, "r_min": _real, "r_max": _real, "r_count": _count, "eta_list": _reals, "nbar": _real,
+    "j_min": _real, "j_max": _real, "j_count": _count,
 }
+_R_RANGE_KEYS = ("r_min", "r_max", "r_count")
 
 
 def _fig_config(args) -> dict:
     """The figure config: defaults, then the --config file.
 
-    Every key of the file is checked against the schema, so a misspelt key or
-    a value of the wrong JSON type is rejected, naming the key.  Numbers come
-    back as floats and lists as tuples of floats.
+    A misspelt key, a value that breaks its library rule, and ``r_list`` given with
+    a range key are rejected, naming the key.  Numbers come back as floats, counts
+    as ints and lists as tuples of floats.
     """
     config = {"eta_list": report_mod.DEFAULT_ETAS, "nbar": 0.0}
     if args.config is not None:
@@ -161,11 +138,13 @@ def _fig_config(args) -> dict:
         for key, value in loaded.items():
             if key not in _CONFIG_KEYS:
                 raise ValueError(f"unknown config key {key!r}; allowed: {', '.join(_CONFIG_KEYS)}")
-            convert, kind = _CONFIG_KEYS[key]
             try:
-                config[key] = convert(value)
-            except (TypeError, OverflowError):
-                raise ValueError(f"config key {key!r} must be {kind}, got {json.dumps(value)}") from None
+                config[key] = _CONFIG_KEYS[key](key, value)
+            except ValueError as exc:
+                raise ValueError(f"config key {key!r}: {exc}") from None
+        range_keys = [key for key in _R_RANGE_KEYS if key in loaded]
+        if "r_list" in loaded and range_keys:
+            raise ValueError(f"config key 'r_list' cannot be given with {' or '.join(map(repr, range_keys))}")
     return config
 
 
@@ -175,8 +154,8 @@ def _cmd_sweep(args) -> int:
     grid = {"eta_list": config["eta_list"], "nbar": config["nbar"]}
     if "r_list" in config:
         spec = report_mod.SweepSpec(r_grid=config["r_list"], **grid)
-    elif config.keys() & {"r_min", "r_max", "r_count"}:
-        r = dict(zip(("r_min", "r_max", "r_count"), report_mod.DEFAULT_R_RANGES[args.command]), **config)
+    elif config.keys() & _R_RANGE_KEYS:
+        r = dict(zip(_R_RANGE_KEYS, report_mod.DEFAULT_R_RANGES[args.command]), **config)
         spec = report_mod.SweepSpec.from_range(r["r_min"], r["r_max"], r["r_count"], **grid)
     else:
         spec = getattr(report_mod, f"default_{args.command}_spec")(**grid)

@@ -29,6 +29,8 @@ the tests check those closed forms against, live in ``tests/reference.py``.
 from __future__ import annotations
 
 import math
+import numbers
+import operator
 import sys
 from dataclasses import dataclass, field
 
@@ -43,15 +45,45 @@ _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 _NBAR_MAX = math.sqrt(sys.float_info.max) / 2.0
 
 
+def _shown(value) -> str:
+    """repr(value) for an error message; an int of more than 20 digits by its digit count."""
+    if not isinstance(value, int) or abs(value) < 10**20:
+        return repr(value)
+    digits = int(math.log10(abs(value))) + 1
+    digits += (abs(value) >= 10**digits) - (abs(value) < 10 ** (digits - 1))  # log10 may round across a power of 10
+    return f"<an integer of {digits} digits>"
+
+
+# _real, _reals and _count are the one rule for each number, list or count from outside.
 def _real(name: str, value) -> float:
-    """value as a finite float; anything else (an int beyond the float range too) raises ValueError."""
-    try:
-        number = float(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ValueError(f"{name} must be a real number, got {value!r}") from None
-    if not math.isfinite(number):
+    """value as a finite float.  A bool, text, None or an int beyond the float range raises ValueError."""
+    if type(value) is not float:
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ValueError(f"{name} must be a real number, got {_shown(value)}")
+        try:
+            value = float(value)
+        except OverflowError:
+            raise ValueError(f"{name} must be finite, got {_shown(value)}") from None
+    if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value!r}")
-    return number
+    return value
+
+
+def _reals(name: str, values) -> tuple[float, ...]:
+    """:func:`_real` on each item of a sequence; a scalar, text or None in its place raises ValueError."""
+    if not isinstance(values, (str, bytes)):
+        try:
+            return tuple([_real(name, value) for value in values])
+        except TypeError:  # values is not iterable
+            pass
+    raise ValueError(f"{name} must be a sequence of real numbers, got {_shown(values)}")
+
+
+def _count(name: str, value, minimum: int = 1) -> int:
+    """value as an int >= minimum: an integral number (a numpy integer too), not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {_shown(value)}")
+    return operator.index(value)
 
 
 @dataclass(frozen=True)

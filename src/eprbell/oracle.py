@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .epr_model import GaussianEprState
+from .epr_model import GaussianEprState, _count, _shown
 
 __all__ = ["BLOCK", "OracleConfig", "OracleEstimate", "mc_fidelity"]
 
@@ -53,10 +53,10 @@ class OracleConfig:
     seed: int
 
     def __post_init__(self):
-        if not isinstance(self.samples, int) or isinstance(self.samples, bool) or self.samples < 2:
-            raise ValueError(f"samples must be an integer >= 2, got {self.samples!r}")
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool) or not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
+        object.__setattr__(self, "samples", _count("samples", self.samples, 2))
+        object.__setattr__(self, "seed", _count("seed", self.seed, 0))
+        if self.seed >= 2**64:
+            raise ValueError(f"seed must be a 64-bit unsigned integer, got {_shown(self.seed)}")
 
 
 @dataclass(frozen=True)

@@ -37,14 +37,12 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
-import operator
 import re
 from dataclasses import dataclass
 from functools import partial
 
 from .bell import _b, _bell_max, _displacement, _loss_bound
-from .epr_model import EprParams, _real, _sigma_pair
+from .epr_model import EprParams, _count, _real, _reals, _shown, _sigma_pair
 from .teleport import _fidelity
 
 __all__ = [
@@ -91,18 +89,10 @@ class SweepSpec:
     nbar: float = 0.0
 
     def __post_init__(self):
-        try:
-            object.__setattr__(self, "r_grid", tuple(map(float, self.r_grid)))
-            object.__setattr__(self, "eta_list", tuple(map(float, self.eta_list)))
-        except (TypeError, ValueError, OverflowError):
-            raise ValueError(f"r_grid and eta_list must hold real numbers, got {self!r}") from None
         for name in ("r_grid", "eta_list"):
-            values = getattr(self, name)
-            if not values:
+            object.__setattr__(self, name, _reals(name, getattr(self, name)))
+            if not getattr(self, name):
                 raise ValueError(f"{name} must be nonempty")
-            if not all(map(math.isfinite, values)):
-                bad = next(v for v in values if not math.isfinite(v))
-                raise ValueError(f"{name} must hold finite numbers, got {bad}")
         # EprParams, the one validator of the knobs, bounds r and eta each by an
         # interval, so the two extreme corners of the grid check every value in it.
         EprParams(min(self.r_grid), min(self.eta_list), self.nbar)
@@ -117,13 +107,11 @@ def _linspace(start, stop, count, axis: str) -> list[float]:
     """count uniform values from start to stop by numpy.linspace's float operations, in its
     order: k*step + start (k/div*delta + start where step underflows to 0), then stop."""
     start, stop = _real(f"{axis}_min", start), _real(f"{axis}_max", stop)
-    if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < 1:
-        raise ValueError(f"{axis}_count must be an integer >= 1, got {count!r}")
-    count = operator.index(count)  # a numpy integer becomes a Python int
+    count = _count(f"{axis}_count", count)
     try:  # one allocation, so a count beyond memory fails before any value is formed
         grid = [stop] * count
     except (MemoryError, OverflowError):
-        raise ValueError(f"a grid of {count} points does not fit in memory") from None
+        raise ValueError(f"a grid of {_shown(count)} points does not fit in memory") from None
     delta, div = stop - start, max(count - 1, 1)
     step = delta / div
     for k in range(div):  # with count > 1 the last value stays stop
@@ -187,7 +175,7 @@ def fig2(r_list, eta: float, j_grid, nbar: float = 0.0) -> Table:
 def fig2_stacked(r_list, eta_list, j_grid, nbar: float = 0.0) -> Table:
     """fig2 for several transmissions: rows (eta, r, J, B), eta descending."""
     mesh = _mesh(SweepSpec(r_grid=r_list, eta_list=eta_list, nbar=nbar))
-    j = tuple(map(_displacement, j_grid))
+    j = tuple(map(_displacement, _reals("j_grid", j_grid)))
     if not j:
         raise ValueError("j_grid must be nonempty")
     rows = []

@@ -277,6 +277,14 @@ def test_shared_config_accepted_by_every_figure(tmp_path, capsys, figure):
         (("fig2",), {"j_count": 10**15}, "1000000000000000 points"),
         (("bell-scan", "--r", "0.5", "--eta", "0.9", "--j-min", "0", "--j-max", "1", "--points", "1000000000000000"),
          None, "1000000000000000 points"),
+        (("fig1",), {"r_count": 10**400}, "<an integer of 401 digits> points"),
+        (("fig1",), {"r_list": [0.1, 0.2], "r_min": 0, "r_max": 1, "r_count": 5},
+         "'r_list' cannot be given with 'r_min' or 'r_max' or 'r_count'"),
+        (("fig2",), {"r_list": [0.1], "r_count": 5}, "'r_list' cannot be given with 'r_count'"),
+        # every key is held to its rule, also in a figure that does not read it
+        (("fig2",), {"r_count": 0}, "config key 'r_count': r_count must be an integer >= 1"),
+        (("fig1",), {"j_min": math.nan}, "config key 'j_min': j_min must be finite"),
+        (("fig3",), {"nbar": True}, "config key 'nbar': nbar must be a real number"),
     ],
     ids=[
         "fidelity-overflow-r", "fig1-overflow-r_max", "fig2-empty-eta_list",
@@ -285,6 +293,8 @@ def test_shared_config_accepted_by_every_figure(tmp_path, capsys, figure):
         "fig1-string-r_list", "fig2-float-j_count", "chsh-nan-theta", "fidelity-huge-nbar",
         "fig1-huge-nbar", "criteria-huge-mu", "criteria-mu-gg-product-overflow", "oracle-one-sample",
         "fig1-unallocatable-r_count", "fig2-unallocatable-j_count", "bell-scan-unallocatable-points",
+        "fig1-401-digit-r_count", "fig1-r_list-with-range", "fig2-r_list-with-r_count", "fig2-unused-zero-r_count",
+        "fig1-unused-nan-j_min", "fig3-boolean-nbar",
     ],
 )
 def test_rejected_input_exits_2_with_one_error_line(tmp_path, capsys, argv, config, names):

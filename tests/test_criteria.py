@@ -128,9 +128,11 @@ def test_mu_variances_rejects_non_finite_mu():
         mu_variances(state(0.5, 0.9), math.nan)
 
 
-def test_classify_reports_mu_as_a_float():
-    # A bool gain would write the criteria table's mu column as true/false.
-    mu = classify(state(0.5, 0.9), mu=True).mu
+def test_classify_rejects_a_bool_mu():
+    # A gain is a real number; a bool is not taken as 1.0.
+    with pytest.raises(ValueError, match="mu must be a real number, got True"):
+        classify(state(0.5, 0.9), mu=True)
+    mu = classify(state(0.5, 0.9), mu=1).mu
     assert mu == 1.0 and type(mu) is float
 
 

@@ -160,18 +160,58 @@ def test_number_slots_cover_every_public_callable():
     assert public == {slot.split(".")[0] for slot in NUMBER_SLOTS} | NO_NUMBER_ARGUMENT | NOT_VALIDATING
 
 
-@pytest.mark.parametrize("value", [None, "x", "1.5", HUGE, math.nan, math.inf, True, 1e-320, -0.0],
-                         ids=["None", "str", "numeric-str", "huge-int", "nan", "inf", "True", "subnormal", "minus-zero"])
+# Each value a slot may take, by test id.  The first five are not finite real numbers
+# (nor counts), so every slot rejects them, but for the two slots in VALID_NON_NUMBERS.
+ANY_NUMBER = {
+    "None": None, "str": "x", "numeric-str": "1.5", "huge-int": HUGE, "True": True,
+    "nan": math.nan, "inf": math.inf, "subnormal": 1e-320, "minus-zero": -0.0,
+}
+NOT_A_NUMBER = ("None", "str", "numeric-str", "huge-int", "True")
+# classify's mu=None is the optimal-gain default; a sample count has no upper bound.
+VALID_NON_NUMBERS = {("classify.mu", "None"), ("OracleConfig.samples", "huge-int")}
+
+
+@pytest.mark.parametrize("value", ANY_NUMBER)
 @pytest.mark.parametrize("slot", NUMBER_SLOTS)
 def test_public_entries_return_or_raise_value_error_for_any_number(slot, value):
     """Each numeric argument of each public entry, given each value in turn, gives a
     result or a ValueError, never another exception or a warning (pytest makes
-    RuntimeWarning an error).  A scalar passed where a sequence is expected, such as
-    angles=None, is a type misuse and out of scope."""
+    RuntimeWarning an error); a bool, text, None or an int beyond the float range
+    always gives the ValueError."""
     try:
-        NUMBER_SLOTS[slot](value)
+        NUMBER_SLOTS[slot](ANY_NUMBER[value])
     except ValueError:
-        pass
+        return
+    assert value not in NOT_A_NUMBER or (slot, value) in VALID_NON_NUMBERS, f"{slot} took {value}"
+
+
+@pytest.mark.parametrize("value", [None, 0.5, "0.5", 3], ids=["None", "float", "str", "int"])
+@pytest.mark.parametrize("call", [
+    lambda v: SweepSpec(v),
+    lambda v: SweepSpec((0.1,), v),
+    lambda v: eprbell.scaled_chsh(0.9, 0.0, v),
+    lambda v: report.fig2(v, 0.9, (0.0, 1.0)),
+    lambda v: report.fig2((0.1,), 0.9, v),
+    lambda v: report.fig2_stacked((0.1,), v, (0.0, 1.0)),
+], ids=["SweepSpec.r_grid", "SweepSpec.eta_list", "scaled_chsh.angles", "fig2.r_list", "fig2.j_grid",
+        "fig2_stacked.eta_list"])
+def test_a_scalar_for_a_sequence_raises_value_error(call, value):
+    with pytest.raises(ValueError, match="must be a sequence of real numbers"):
+        call(value)
+
+
+@pytest.mark.parametrize("call, digits", [
+    (lambda: EprParams(HUGE, 0.9), 401),
+    (lambda: eprbell.b_of_j(_STATE, HUGE), 401),
+    (lambda: SweepSpec.from_range(0.0, 1.0, HUGE), 401),
+    (lambda: OracleConfig(-HUGE, 1), 401),
+    (lambda: OracleConfig(10, 10**20), 21),
+], ids=["EprParams", "b_of_j", "from_range", "OracleConfig.samples", "OracleConfig.seed"])
+def test_a_huge_int_gives_a_short_message(call, digits):
+    # An int of more than 20 digits is named by its digit count, not written out.
+    with pytest.raises(ValueError, match=f"<an integer of {digits} digits>") as excinfo:
+        call()
+    assert len(str(excinfo.value)) < 200
 
 
 def test_overflow_edge_is_the_largest_accepted_r():
