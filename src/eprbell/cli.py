@@ -83,7 +83,9 @@ def _cmd_criteria(args) -> int:
 
 def _cmd_bell_scan(args) -> int:
     state = _state(args)
-    rows = tuple((j, b_of_j(state, j)) for j in _j_grid(args.j_min, args.j_max, args.points))
+    # checked under the flags' names first, since _linspace names fig2's config keys
+    j_grid = _j_grid(_real("--j-min", args.j_min), _real("--j-max", args.j_max), _count("--points", args.points))
+    rows = tuple((j, b_of_j(state, j)) for j in j_grid)
     _emit(report_mod.table_to_csv(report_mod.Table(columns=("J", "B"), rows=rows)), None)
     return 0
 

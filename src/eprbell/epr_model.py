@@ -46,9 +46,10 @@ _NBAR_MAX = math.sqrt(sys.float_info.max) / 2.0
 
 
 def _shown(value) -> str:
-    """repr(value) for an error message; an int of more than 20 digits by its digit count."""
+    """repr(value) for an error message, cut to 60 characters past 80; an int over 20 digits by its digit count."""
     if not isinstance(value, int) or abs(value) < 10**20:
-        return repr(value)
+        text = repr(value)
+        return text if len(text) <= 80 else f"{text[:60]}... <{len(text)} characters>"
     digits = int(math.log10(abs(value))) + 1
     digits += (abs(value) >= 10**digits) - (abs(value) < 10 ** (digits - 1))  # log10 may round across a power of 10
     return f"<an integer of {digits} digits>"

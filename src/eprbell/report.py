@@ -17,8 +17,7 @@ once as a scalar ``math`` kernel that the scalar API (``fidelity``,
 (eta, r) mesh, whose values EprParams validates, with rows in
 (eta descending, r ascending) order and Python float/bool cells, so every
 cell is exactly the scalar API's value for its state.  The grids are built
-in plain Python, bit for bit as numpy.linspace builds them; numpy is imported
-only by the codec, for columns of more than one cell.  Tables are written as CSV
+in plain Python, bit for bit as numpy.linspace builds them.  Tables are written as CSV
 (header row, 17 significant digits, "inf" for unbounded values) or JSON
 lines by one per-column codec, which the CLI's ``name=value`` lines share:
 a bool column is true/false, any other column floats, and a column mixing
@@ -27,8 +26,8 @@ each whole column: a CSV column reads as booleans only when every cell is
 true/false, and its float cells must be spelled as the writers spell them
 (a decimal or exponent number, inf, -inf or nan); JSONL takes NaN but not
 Infinity, which the writers never write.  The codec formats each distinct
-value of a column (by float64 bit pattern) once, and builds every JSONL
-row from one template per table.
+value of a mostly repeated column once, and builds every JSONL row from
+one template per table.
 Readers and writers alike reject column names that would not read back:
 repeated, empty, or holding a comma or line break.
 """
@@ -207,6 +206,11 @@ _BOOL_TEXT = ("false", "true")
 _JSON_NON_FINITE = {"nan": "NaN", "inf": '"inf"', "-inf": '"-inf"'}
 
 
+def _json_text(value: float) -> str:
+    text = repr(value)
+    return _JSON_NON_FINITE.get(text, text)
+
+
 def _column_types(name: str, values) -> set:
     """The types of a column's cells; a column mixing bools with other cells raises ValueError."""
     types = set(map(type, values))
@@ -217,34 +221,27 @@ def _column_types(name: str, values) -> set:
 
 def column_text(name: str, values, json_form: bool = False) -> list[str]:
     """One column's cells as CSV (or JSON) text: bools as true/false, real numbers as
-    floats, '%.17g' in CSV and json.dumps's text in JSON.  Each distinct float, by bit
-    pattern (so 0.0 and -0.0, and NaNs of different sign, stay apart), is formatted once
-    and its text shared by every cell holding it; a one-cell column, as in the CLI's
-    single results, has nothing to share and is formatted without numpy.  Any other cell
-    (None, text, an int beyond the float range) or bools mixed with numbers raise
-    ValueError: they would not read back."""
+    floats, '%.17g' in CSV and json.dumps's text in JSON.  A column whose cells are
+    mostly repeated (fewer distinct values than half its cells) formats each distinct
+    nonzero value once and shares its text; a zero is formatted per cell, since 0.0 and
+    -0.0 are equal keys, and a NaN finds only its own entry, so each keeps its sign.
+    Any other cell (None, text, an int beyond the float range) or bools mixed with
+    numbers raise ValueError: they would not read back."""
     types = _column_types(name, values)
     if bool in types:
         return list(map(_BOOL_TEXT.__getitem__, values))
     try:
         if any(issubclass(t, (str, bytes)) for t in types):  # float() would parse "1.5"; no reader gives text
             raise TypeError("text is not a number")
-        if len(values) == 1:
-            distinct, cell_index = [float(values[0])], [0]
-        else:
-            import numpy as np
-
-            floats = np.fromiter(map(float, values), float, len(values))
-            bits, cell_index = np.unique(floats.view(np.uint64), return_inverse=True)
-            distinct, cell_index = bits.view(np.float64).tolist(), cell_index.tolist()
+        floats = list(map(float, values))
     except (TypeError, OverflowError) as exc:
         raise ValueError(f"column {name!r} holds a cell that is not a real number: {exc}") from None
-    if json_form:
-        texts = list(map(repr, distinct))
-        texts = list(map(_JSON_NON_FINITE.get, texts, texts))
-    else:
-        texts = list(map("%.17g".__mod__, distinct))
-    return list(map(texts.__getitem__, cell_index))
+    fmt = _json_text if json_form else "%.17g".__mod__
+    distinct = set(floats)
+    if len(distinct) * 2 > len(floats):  # mostly distinct: a lookup costs about as much as formatting
+        return list(map(fmt, floats))
+    texts = {x: fmt(x) for x in distinct if x}
+    return [texts[x] if x in texts else fmt(x) for x in floats]
 
 
 def _check_columns(columns) -> None:

@@ -277,6 +277,11 @@ def test_shared_config_accepted_by_every_figure(tmp_path, capsys, figure):
         (("fig2",), {"j_count": 10**15}, "1000000000000000 points"),
         (("bell-scan", "--r", "0.5", "--eta", "0.9", "--j-min", "0", "--j-max", "1", "--points", "1000000000000000"),
          None, "1000000000000000 points"),
+        # bell-scan takes no config, so its grid errors name its own flags
+        (("bell-scan", "--r", "0.5", "--eta", "0.9", "--j-min", "0", "--j-max", "1", "--points", "0"), None,
+         "--points must be an integer >= 1, got 0"),
+        (("bell-scan", "--r", "0.5", "--eta", "0.9", "--j-min", "0", "--j-max", "inf", "--points", "5"), None,
+         "--j-max must be finite, got inf"),
         (("fig1",), {"r_count": 10**400}, "<an integer of 401 digits> points"),
         (("fig1",), {"r_list": [0.1, 0.2], "r_min": 0, "r_max": 1, "r_count": 5},
          "'r_list' cannot be given with 'r_min' or 'r_max' or 'r_count'"),
@@ -293,7 +298,8 @@ def test_shared_config_accepted_by_every_figure(tmp_path, capsys, figure):
         "fig1-string-r_list", "fig2-float-j_count", "chsh-nan-theta", "fidelity-huge-nbar",
         "fig1-huge-nbar", "criteria-huge-mu", "criteria-mu-gg-product-overflow", "oracle-one-sample",
         "fig1-unallocatable-r_count", "fig2-unallocatable-j_count", "bell-scan-unallocatable-points",
-        "fig1-401-digit-r_count", "fig1-r_list-with-range", "fig2-r_list-with-r_count", "fig2-unused-zero-r_count",
+        "bell-scan-zero-points", "bell-scan-infinite-j-max", "fig1-401-digit-r_count", "fig1-r_list-with-range",
+        "fig2-r_list-with-r_count", "fig2-unused-zero-r_count",
         "fig1-unused-nan-j_min", "fig3-boolean-nbar",
     ],
 )
@@ -444,6 +450,26 @@ def test_one_state_commands_leave_numpy_unloaded():
     )
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert done.stdout.strip() == "[0, 0, 0, 0, 0, 0, 2, 2] False"
+
+
+def test_table_commands_leave_numpy_unloaded(tmp_path):
+    # The codec formats columns in plain Python, so the commands that write tables load no numpy either.
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"eta_list": [0.9, 0.5], "nbar": 0.3, "r_count": 7, "j_max": 1.0, "j_count": 5}))
+    env = dict(os.environ, PYTHONPATH=str(Path(eprbell.__file__).resolve().parents[1]))
+    code = (
+        "import contextlib, io, sys, eprbell.cli\n"
+        "state = ['--r', '0.5', '--eta', '0.9']\n"
+        f"config = ['--config', {str(config)!r}]\n"
+        "figs = [[fig, *extra] for fig in ('fig1', 'fig2', 'fig3', 'fig4') for extra in ([], config)]\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [eprbell.cli.main(argv) for argv in (\n"
+        "        *figs, ['chsh', '--visibility', '0.87'],\n"
+        "        ['bell-scan', *state, '--j-min', '0', '--j-max', '1', '--points', '101'], ['fidelity', *state, '--json'])]\n"
+        "print(codes, 'numpy' in sys.modules)"
+    )
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0] False"
 
 
 # numpy's dispatched x86 loops; switching them off leaves numpy's baseline path, whose exp and log1p are libm's.

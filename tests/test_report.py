@@ -123,7 +123,7 @@ def test_from_range_rejects_a_count_beyond_memory(count):
 
 
 def test_grids_and_tables_leave_numpy_unloaded():
-    # Grid constructors, tables and the scalar b_of_j are plain Python; numpy is the codec's and the oracle's.
+    # Grid constructors, tables, their writers and the scalar b_of_j are plain Python; numpy is the oracle's alone.
     env = dict(os.environ, PYTHONPATH=str(Path(eprbell.__file__).resolve().parents[1]))
     code = (
         "import sys\n"
@@ -132,14 +132,16 @@ def test_grids_and_tables_leave_numpy_unloaded():
         "from eprbell.epr_model import EprParams, make_state\n"
         "specs = [rp.SweepSpec.from_range(0.0, 1.0, 5), rp.default_fig1_spec(), rp.default_fig3_spec(),\n"
         "         rp.default_fig4_spec()]\n"
-        "rows = [len(rp.fig1(specs[1]).rows), len(rp.fig3(specs[2]).rows), len(rp.fig4(specs[3]).rows),\n"
-        "        len(rp.fig2(rp.DEFAULT_FIG2_R, 0.9, rp.default_fig2_j_grid()).rows),\n"
-        "        len(rp.fig2_stacked(rp.DEFAULT_FIG2_R, rp.DEFAULT_ETAS, rp.default_fig2_j_grid()).rows)]\n"
+        "tables = [rp.fig1(specs[1]), rp.fig3(specs[2]), rp.fig4(specs[3]),\n"
+        "          rp.fig2(rp.DEFAULT_FIG2_R, 0.9, rp.default_fig2_j_grid()),\n"
+        "          rp.fig2_stacked(rp.DEFAULT_FIG2_R, rp.DEFAULT_ETAS, rp.default_fig2_j_grid())]\n"
+        "rows = [len(table.rows) for table in tables]\n"
+        "lines = [rp.table_to_csv(t).count('\\n') + rp.table_to_jsonl(t).count('\\n') for t in tables]\n"
         "b = b_of_j(make_state(EprParams(0.5, 0.9)), 0.1)\n"
-        "print(rows, type(b).__name__, 'numpy' in sys.modules)"
+        "print(rows, lines, type(b).__name__, 'numpy' in sys.modules)"
     )
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert done.stdout.strip() == "[800, 1200, 1600, 804, 3216] float False"
+    assert done.stdout.strip() == "[800, 1200, 1600, 804, 3216] [1601, 2401, 3201, 1609, 6433] float False"
 
 
 def test_fig1_default_shape_and_order():
@@ -336,6 +338,16 @@ CODEC_TABLES = {
                 3, 3.0, np.float64(3.0), -0.0, 0.0, math.nan, -math.nan,
             ))
         ),
+    ),
+    # One column mostly distinct and one mostly repeated, so the writers take both sides of
+    # their distinct-share choice, each column holding 0.0, -0.0, NaNs of either sign
+    # (separate objects) and both infinities.
+    "distinct-share": lambda: Table(
+        columns=("distinct", "repeated"),
+        rows=tuple(zip(
+            [0.0, -0.0, float("nan"), -float("nan"), math.inf, -math.inf, *(k / 7 for k in range(1, 35))],
+            [x for _ in range(5) for x in (0.0, -0.0, float("nan"), -float("nan"), math.inf, -math.inf, 0.5, 1.5)],
+        )),
     ),
     "format-keys": lambda: Table(
         columns=("a%s", "b%", "%%", "%(x)s", '"c"', "{d}"),
