@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .epr_model import EprParams, GaussianEprState, _mu_opt, _real, _reals
 
@@ -37,20 +37,10 @@ __all__ = [
     "optimize_scaled_chsh",
 ]
 
-@dataclass(frozen=True)
-class BellResult:
-    j_max: float
-    b_max: float
-    violates: bool  # b_max > 2
-
-
-@dataclass(frozen=True)
-class ScaledChsh:
-    visibility: float
-    theta: float
-    angles: tuple[float, float, float, float]  # (phi1, phi1', phi2, phi2')
-    s_value: float
-    m_scale: float = 1.0  # overall coincidence scale; never enters S
+# violates is b_max > 2
+BellResult = namedtuple("BellResult", "j_max b_max violates")
+# angles is (phi1, phi1', phi2, phi2'); m_scale, the overall coincidence scale, never enters S
+ScaledChsh = namedtuple("ScaledChsh", "visibility theta angles s_value m_scale", defaults=(1.0,))
 
 
 def _b(sp: float, sm: float, j: float) -> float:

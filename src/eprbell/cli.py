@@ -16,7 +16,6 @@ range key are rejected with exit code 2.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 
@@ -67,14 +66,14 @@ def _j_grid(j_min: float, j_max: float, count: int) -> list[float]:
 
 
 def _cmd_fidelity(args) -> int:
-    _write_fields(dataclasses.asdict(fidelity(_state(args))), args.json)
+    _write_fields(fidelity(_state(args))._asdict(), args.json)
     return 0
 
 
 def _cmd_criteria(args) -> int:
     rep = classify(_state(args), mu=args.mu)
     if args.json:
-        _write_fields(dataclasses.asdict(rep), as_json=True)
+        _write_fields(rep._asdict(), as_json=True)
     else:
         row = tuple(getattr(rep, name) for name in CRITERIA_CSV_COLUMNS)
         _emit(report_mod.table_to_csv(report_mod.Table(columns=CRITERIA_CSV_COLUMNS, rows=(row,))), None)
@@ -91,12 +90,12 @@ def _cmd_bell_scan(args) -> int:
 
 
 def _cmd_bell_max(args) -> int:
-    _write_fields(dataclasses.asdict(maximize_b(_state(args))))
+    _write_fields(maximize_b(_state(args))._asdict())
     return 0
 
 
 def _cmd_chsh(args) -> int:
-    _write_fields(dataclasses.asdict(optimize_scaled_chsh(args.visibility, theta=args.theta)))
+    _write_fields(optimize_scaled_chsh(args.visibility, theta=args.theta)._asdict())
     return 0
 
 
@@ -109,7 +108,7 @@ def _cmd_oracle(args) -> int:
     error = abs(estimate.fidelity_hat - analytic)
     band = 3.0 * estimate.std_error
     ok = error <= band
-    _write_fields({**dataclasses.asdict(estimate), "analytic_fidelity": analytic, "abs_error": error, "band_3se": band})
+    _write_fields({**estimate._asdict(), "analytic_fidelity": analytic, "abs_error": error, "band_3se": band})
     print("result=" + ("PASS" if ok else "FAIL"))
     return 0 if ok else 1
 

@@ -17,7 +17,7 @@ weight in the sum criterion is fixed to a = 1 (symmetric modes).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from collections import namedtuple
 
 from .epr_model import EprParams, GaussianEprState, _real, mu_opt
 
@@ -32,8 +32,11 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CriteriaReport:
+class CriteriaReport(namedtuple("CriteriaReport", (
+    "r eta nbar duan_sum duan_nonseparable mu dx_mu_sq dp_mu_sq cond_var_x cond_var_p gg_product gg_hi_satisfied"
+    " gg_sum_satisfied simon_mu_nonseparable nbar_threshold gg_product_mu1 gg_hi_satisfied_mu1 gg_sum_mu1"
+    " gg_sum_satisfied_mu1"
+))):
     """Every boundary predicate evaluated for one state.
 
     The headline fields are evaluated at the estimator gain ``mu`` (the
@@ -43,29 +46,11 @@ class CriteriaReport:
     amount of ancilla thermal noise can reach the state.
     """
 
-    r: float
-    eta: float
-    nbar: float
-    duan_sum: float
-    duan_nonseparable: bool
-    mu: float
-    dx_mu_sq: float
-    dp_mu_sq: float
-    cond_var_x: float
-    cond_var_p: float
-    gg_product: float
-    gg_hi_satisfied: bool
-    gg_sum_satisfied: bool
-    simon_mu_nonseparable: bool
-    nbar_threshold: float
-    gg_product_mu1: float
-    gg_hi_satisfied_mu1: bool
-    gg_sum_mu1: float
-    gg_sum_satisfied_mu1: bool
+    __slots__ = ()
 
 
 # One CSV row of a report: every field but the mu = 1 repeats, in declaration order.
-CRITERIA_CSV_COLUMNS = tuple(f.name for f in fields(CriteriaReport) if not f.name.endswith("_mu1"))
+CRITERIA_CSV_COLUMNS = tuple(name for name in CriteriaReport._fields if not name.endswith("_mu1"))
 
 
 def duan_sum(state: GaussianEprState) -> float:

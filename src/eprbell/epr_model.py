@@ -32,7 +32,7 @@ import math
 import numbers
 import operator
 import sys
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 __all__ = [
     "EprParams",
@@ -46,9 +46,13 @@ _NBAR_MAX = math.sqrt(sys.float_info.max) / 2.0
 
 
 def _shown(value) -> str:
-    """repr(value) for an error message, cut to 60 characters past 80; an int over 20 digits by its digit count."""
+    """repr(value) for an error message, cut to 60 characters past 80; an int over 20 digits by its digit count,
+    and a value whose repr raises (such as a list holding an int past the 4300-digit text limit) by its type."""
     if not isinstance(value, int) or abs(value) < 10**20:
-        text = repr(value)
+        try:
+            text = repr(value)
+        except (ValueError, RecursionError):  # the 4300-digit limit on int text; a container nested too deep
+            return f"<a {type(value).__name__!r} value that repr cannot print>"
         return text if len(text) <= 80 else f"{text[:60]}... <{len(text)} characters>"
     digits = int(math.log10(abs(value))) + 1
     digits += (abs(value) >= 10**digits) - (abs(value) < 10 ** (digits - 1))  # log10 may round across a power of 10
@@ -87,8 +91,18 @@ def _count(name: str, value, minimum: int = 1) -> int:
     return operator.index(value)
 
 
-@dataclass(frozen=True)
-class EprParams:
+class _Checked:
+    """Base of a named-tuple record whose __new__ checks its values.  namedtuple's own
+    _make, which _replace calls, builds the tuple directly; this one goes through cls()."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, values):
+        return cls(*values)
+
+
+class EprParams(_Checked, namedtuple("EprParams", "r eta nbar")):
     """Physical knobs: squeezing r >= 0, transmission eta in [0, 1], thermal nbar >= 0.
 
     r is bounded above by the float overflow edge 2r <= ln(DBL_MAX), beyond
@@ -96,42 +110,45 @@ class EprParams:
     which the products of the variances that the criteria report overflow.
     """
 
-    r: float
-    eta: float
-    nbar: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("r", "eta", "nbar"):
-            object.__setattr__(self, name, _real(name, getattr(self, name)))
-        if self.r < 0.0:
-            raise ValueError(f"r must be >= 0, got {self.r}")
-        if 2.0 * self.r > _LOG_FLOAT_MAX:
-            raise ValueError(f"r must be <= {_LOG_FLOAT_MAX / 2.0} (exp(2r) overflows), got {self.r}")
-        if not 0.0 <= self.eta <= 1.0:
-            raise ValueError(f"eta must be in [0, 1], got {self.eta}")
-        if not 0.0 <= self.nbar <= _NBAR_MAX:
-            raise ValueError(f"nbar must be in [0, {_NBAR_MAX}], got {self.nbar}")
+    def __new__(cls, r: float, eta: float, nbar: float = 0.0):
+        r, eta, nbar = _real("r", r), _real("eta", eta), _real("nbar", nbar)
+        if r < 0.0:
+            raise ValueError(f"r must be >= 0, got {r}")
+        if 2.0 * r > _LOG_FLOAT_MAX:
+            raise ValueError(f"r must be <= {_LOG_FLOAT_MAX / 2.0} (exp(2r) overflows), got {r}")
+        if not 0.0 <= eta <= 1.0:
+            raise ValueError(f"eta must be in [0, 1], got {eta}")
+        if not 0.0 <= nbar <= _NBAR_MAX:
+            raise ValueError(f"nbar must be in [0, {_NBAR_MAX}], got {nbar}")
+        return super().__new__(cls, r, eta, nbar)
 
 
-@dataclass(frozen=True)
-class GaussianEprState:
+class GaussianEprState(_Checked, namedtuple("GaussianEprState", "params sigma_plus_sq sigma_minus_sq")):
     """Two-mode Gaussian state of the given knobs.
 
     Built from :class:`EprParams` alone; the (sigma_plus_sq, sigma_minus_sq)
     pair is derived from them once, by :func:`_sigma_pair`, so the knobs and
-    the variances cannot disagree.  The knobs are retained because several
+    the variances cannot disagree; neither ``_make`` nor ``_replace`` takes a
+    pair.  The knobs are retained because several
     derived reports (thermal threshold, sweep rows) need (r, eta, nbar),
     which cannot be recovered from the two variance scales alone.
     """
 
-    params: EprParams
-    sigma_plus_sq: float = field(init=False)
-    sigma_minus_sq: float = field(init=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        sigma_plus_sq, sigma_minus_sq = _sigma_pair(self.params.r, self.params.eta, self.params.nbar)
-        object.__setattr__(self, "sigma_plus_sq", sigma_plus_sq)
-        object.__setattr__(self, "sigma_minus_sq", sigma_minus_sq)
+    def __new__(cls, params: EprParams):
+        return super().__new__(cls, params, *_sigma_pair(params.r, params.eta, params.nbar))
+
+    def __getnewargs__(self):  # pickle and copy rebuild the state from its knobs
+        return (self.params,)
+
+    def _replace(self, /, params: EprParams | None = None, **pair):
+        """The state of other knobs; a variance pair in ``pair`` raises ValueError."""
+        if pair:
+            raise ValueError(f"the variance pair is derived from params, not given; got {', '.join(pair)}")
+        return type(self)(self.params if params is None else params)
 
 
 def _sigma_pair(r: float, eta: float, nbar: float) -> tuple[float, float]:

@@ -33,37 +33,31 @@ alone.  Blocks run one after another on the calling thread.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
-from .epr_model import GaussianEprState, _count, _shown
+from .epr_model import GaussianEprState, _Checked, _count, _shown
 
 __all__ = ["BLOCK", "OracleConfig", "OracleEstimate", "mc_fidelity"]
 
 BLOCK = 2**16
 
 
-@dataclass(frozen=True)
-class OracleConfig:
+class OracleConfig(_Checked, namedtuple("OracleConfig", "samples seed")):
     """Sample count (at least 2, to form a standard error) and the 64-bit seed
     of the deterministic stream."""
 
-    samples: int
-    seed: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "samples", _count("samples", self.samples, 2))
-        object.__setattr__(self, "seed", _count("seed", self.seed, 0))
-        if self.seed >= 2**64:
-            raise ValueError(f"seed must be a 64-bit unsigned integer, got {_shown(self.seed)}")
+    def __new__(cls, samples: int, seed: int):
+        samples, seed = _count("samples", samples, 2), _count("seed", seed, 0)
+        if seed >= 2**64:
+            raise ValueError(f"seed must be a 64-bit unsigned integer, got {_shown(seed)}")
+        return super().__new__(cls, samples, seed)
 
 
-@dataclass(frozen=True)
-class OracleEstimate:
-    fidelity_hat: float
-    std_error: float
-    duan_sum_hat: float
+OracleEstimate = namedtuple("OracleEstimate", "fidelity_hat std_error duan_sum_hat")
 
 
 def _noise_blocks(state: GaussianEprState, config: OracleConfig):

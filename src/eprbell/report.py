@@ -37,11 +37,11 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import partial
 
 from .bell import _b, _bell_max, _displacement, _loss_bound
-from .epr_model import EprParams, _count, _real, _reals, _shown, _sigma_pair
+from .epr_model import EprParams, _Checked, _count, _real, _reals, _shown, _sigma_pair
 from .teleport import _fidelity
 
 __all__ = [
@@ -75,31 +75,33 @@ DEFAULT_R_RANGES = {"fig1": (0.0, 3.0, 200), "fig3": (0.0, 3.0, 200), "fig4": (0
 DEFAULT_FIG2_J = (0.0, 2.0, 201)
 
 
-@dataclass(frozen=True)
-class SweepSpec:
+class SweepSpec(_Checked, namedtuple("SweepSpec", "r_grid eta_list nbar")):
     """Grid specification for the figure sweeps.
 
     ``r_grid`` is the explicit tuple of squeezing values (use
     :meth:`from_range` for a uniform grid).
     """
 
-    r_grid: tuple[float, ...]
-    eta_list: tuple[float, ...] = DEFAULT_ETAS
-    nbar: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("r_grid", "eta_list"):
-            object.__setattr__(self, name, _reals(name, getattr(self, name)))
-            if not getattr(self, name):
-                raise ValueError(f"{name} must be nonempty")
+    def __new__(cls, r_grid, eta_list=DEFAULT_ETAS, nbar: float = 0.0):
+        r_grid, eta_list = _nonempty("r_grid", r_grid), _nonempty("eta_list", eta_list)
         # EprParams, the one validator of the knobs, bounds r and eta each by an
         # interval, so the two extreme corners of the grid check every value in it.
-        EprParams(min(self.r_grid), min(self.eta_list), self.nbar)
-        object.__setattr__(self, "nbar", EprParams(max(self.r_grid), max(self.eta_list), self.nbar).nbar)
+        EprParams(min(r_grid), min(eta_list), nbar)
+        return super().__new__(cls, r_grid, eta_list, EprParams(max(r_grid), max(eta_list), nbar).nbar)
 
     @classmethod
     def from_range(cls, r_min: float, r_max: float, r_count: int, **kwargs) -> "SweepSpec":
         return cls(r_grid=_linspace(r_min, r_max, r_count, "r"), **kwargs)
+
+
+def _nonempty(name: str, values) -> tuple[float, ...]:
+    """:func:`_reals` of a sequence that must hold at least one value."""
+    values = _reals(name, values)
+    if not values:
+        raise ValueError(f"{name} must be nonempty")
+    return values
 
 
 def _linspace(start, stop, count, axis: str) -> list[float]:
@@ -124,12 +126,10 @@ BELL_SCAN_COLUMNS = (
 )
 
 
-@dataclass(frozen=True)
-class Table:
+class Table(namedtuple("Table", "columns rows")):
     """A rectangular result set: column names plus tuples of cell values."""
 
-    columns: tuple[str, ...]
-    rows: tuple[tuple, ...]
+    __slots__ = ()
 
 
 def default_fig1_spec(eta_list=DEFAULT_ETAS, nbar: float = 0.0) -> SweepSpec:
@@ -174,9 +174,7 @@ def fig2(r_list, eta: float, j_grid, nbar: float = 0.0) -> Table:
 def fig2_stacked(r_list, eta_list, j_grid, nbar: float = 0.0) -> Table:
     """fig2 for several transmissions: rows (eta, r, J, B), eta descending."""
     mesh = _mesh(SweepSpec(r_grid=r_list, eta_list=eta_list, nbar=nbar))
-    j = tuple(map(_displacement, _reals("j_grid", j_grid)))
-    if not j:
-        raise ValueError("j_grid must be nonempty")
+    j = tuple(map(_displacement, _nonempty("j_grid", j_grid)))
     rows = []
     for r, eta, nbar in mesh:
         b = partial(_b, *_sigma_pair(r, eta, nbar))

@@ -9,7 +9,7 @@ the sending side; detector-inefficiency offsets are out of scope.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .criteria import duan_sum
 from .epr_model import GaussianEprState
@@ -19,11 +19,9 @@ __all__ = ["FidelityResult", "fidelity"]
 F_CLASSICAL = 0.5
 
 
-@dataclass(frozen=True)
-class FidelityResult:
-    fidelity: float
-    beats_classical: bool  # F > 1/2, possible only with a nonseparable state
-    beats_two_thirds: bool  # F > 2/3, needs more than 3 dB of effective squeezing
+# beats_classical is F > 1/2, possible only with a nonseparable state;
+# beats_two_thirds is F > 2/3, which needs more than 3 dB of effective squeezing.
+FidelityResult = namedtuple("FidelityResult", "fidelity beats_classical beats_two_thirds")
 
 
 def _fidelity(duan: float) -> float:

@@ -437,19 +437,23 @@ def test_cli_import_leaves_scipy_unloaded():
 
 def test_one_state_commands_leave_numpy_unloaded():
     # The closed forms import only math: a one-state command, rejected inputs included, never loads numpy.
+    # The records are named tuples, so neither dataclasses nor the inspect it pulls in is loaded either;
+    # the modules are compared with a snapshot taken before the import, past any site hook of the environment.
     env = dict(os.environ, PYTHONPATH=str(Path(eprbell.__file__).resolve().parents[1]))
     code = (
-        "import contextlib, io, sys, eprbell.cli\n"
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import contextlib, io, eprbell.cli\n"
         "state = ['--r', '0.5', '--eta', '0.9']\n"
         "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
         "    codes = [eprbell.cli.main(argv) for argv in (\n"
         "        ['fidelity', *state], ['fidelity', *state, '--json'], ['criteria', *state],\n"
         "        ['criteria', *state, '--json'], ['criteria', *state, '--mu', '0.8'], ['bell-max', *state],\n"
         "        ['fidelity', '--r', '0.5', '--eta', '1.5'], ['criteria', '--r', '354.9', '--eta', '0.9'])]\n"
-        "print(codes, 'numpy' in sys.modules)"
+        "print(codes, 'numpy' in sys.modules, sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))"
     )
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert done.stdout.strip() == "[0, 0, 0, 0, 0, 0, 2, 2] False"
+    assert done.stdout.strip() == "[0, 0, 0, 0, 0, 0, 2, 2] False []"
 
 
 def test_table_commands_leave_numpy_unloaded(tmp_path):

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import operator
@@ -175,9 +174,9 @@ def test_conditional_variances_match_mpmath(r, eta, nbar):
 @pytest.mark.parametrize("r", [0.0, 354.0, math.log(sys.float_info.max) / 2.0])
 def test_classify_is_finite_on_the_corners_of_the_domain(r, eta, nbar):
     rep = classify(state(r, eta, nbar))
-    for field in dataclasses.fields(rep):
-        if field.name != "nbar_threshold":
-            assert math.isfinite(getattr(rep, field.name)), field.name
+    for name in rep._fields:
+        if name != "nbar_threshold":
+            assert math.isfinite(getattr(rep, name)), name
     assert math.isfinite(rep.nbar_threshold) or eta == 1.0
 
 
@@ -220,8 +219,8 @@ def test_outputs_match_the_mpmath_reference_over_the_whole_domain(r, eta, nbar):
     s = state(r, eta, nbar)
     assert 0 < s.sigma_minus_sq <= s.sigma_plus_sq < math.inf
     rep, fid, bell = classify(s), fidelity(s), maximize_b(s)
-    for field in dataclasses.fields(rep):
-        assert math.isfinite(getattr(rep, field.name)) or (field.name == "nbar_threshold" and eta == 1.0)
+    for name in rep._fields:
+        assert math.isfinite(getattr(rep, name)) or (name == "nbar_threshold" and eta == 1.0)
     assert (rep.r, rep.eta, rep.nbar) == (r, eta, nbar)
     with mpmath.workdps(50):
         ref = exact(r, eta, nbar)
@@ -404,7 +403,7 @@ def test_csv_unbounded_threshold_renders_inf(capsys):
 def test_json_round_trip(capsys):
     rep = classify(state(0.4, 1.0))
     obj = json.loads(criteria_cli(capsys, 0.4, 1.0, 0.0, "--json"))
-    assert list(obj) == [field.name for field in dataclasses.fields(CriteriaReport)]
+    assert list(obj) == list(CriteriaReport._fields)
     assert obj["nbar_threshold"] == "inf"
     assert obj["duan_nonseparable"] is True
     assert obj["duan_sum"] == rep.duan_sum

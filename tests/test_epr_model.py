@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import sys
 
 import numpy as np
@@ -200,6 +202,13 @@ def test_a_scalar_for_a_sequence_raises_value_error(call, value):
         call(value)
 
 
+def _nested(depth: int) -> list:
+    value = []
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
 @pytest.mark.parametrize("call, shown", [
     (lambda: EprParams(HUGE, 0.9), "<an integer of 401 digits>"),
     (lambda: eprbell.b_of_j(_STATE, HUGE), "<an integer of 401 digits>"),
@@ -208,10 +217,13 @@ def test_a_scalar_for_a_sequence_raises_value_error(call, value):
     (lambda: OracleConfig(10, 10**20), "<an integer of 21 digits>"),
     (lambda: SweepSpec((0.1,), (0.9,), [HUGE]), "got [1" + "0" * 58 + "... <403 characters>"),
     (lambda: SweepSpec((0.1,), (0.9,), "x" * 1000), "got '" + "x" * 59 + "... <1002 characters>"),
+    (lambda: SweepSpec((0.1,), (0.9,), [10**5000]), "nbar must be a real number, got <a 'list' value that repr"),
+    (lambda: OracleConfig(10, _nested(10**5)), "seed must be an integer >= 0, got <a 'list' value that repr"),
 ], ids=["EprParams", "b_of_j", "from_range", "OracleConfig.samples", "OracleConfig.seed", "SweepSpec.nbar-list",
-        "SweepSpec.nbar-text"])
+        "SweepSpec.nbar-text", "SweepSpec.nbar-unprintable", "OracleConfig.seed-too-deep"])
 def test_any_value_gives_a_short_message(call, shown):
-    # An int of more than 20 digits is named by its digit count; any other long repr is cut to its head and length.
+    # An int of more than 20 digits is named by its digit count; any other long repr is cut to its head and length,
+    # and a value whose repr raises (an int past the 4300-digit text limit inside, or too deep) is named by its type.
     with pytest.raises(ValueError) as excinfo:
         call()
     assert shown in str(excinfo.value) and len(str(excinfo.value)) < 200
@@ -398,6 +410,61 @@ def test_state_takes_no_variance_pair_from_outside():
         GaussianEprState(2.0, 0.5, EprParams(0.0, 1.0))
     with pytest.raises(TypeError):
         GaussianEprState(EprParams(0.0, 1.0), sigma_plus_sq=2.0, sigma_minus_sq=0.5)
+    # nor through the named-tuple ways in, _make and _replace; those take new knobs only
+    with pytest.raises(TypeError):
+        GaussianEprState._make((EprParams(0.0, 1.0), 2.0, 0.5))
+    with pytest.raises(ValueError, match="derived from params"):
+        make_state(EprParams(0.0, 1.0))._replace(sigma_minus_sq=0.5)
+    other = EprParams(LN2_HALF, 1.0)
+    moved = make_state(EprParams(0.0, 1.0))._replace(params=other)
+    assert moved == make_state(other) == GaussianEprState._make((other,))
+
+
+# One instance of each public record.
+RECORDS = {
+    "EprParams": lambda: EprParams(0.3, 0.9, 0.1),
+    "GaussianEprState": lambda: _STATE,
+    "BellResult": lambda: maximize_b(_STATE),
+    "ScaledChsh": lambda: eprbell.optimize_scaled_chsh(0.9, theta=0.2),
+    "CriteriaReport": lambda: eprbell.classify(_STATE),
+    "FidelityResult": lambda: fidelity(_STATE),
+    "SweepSpec": lambda: SweepSpec((0.1, 0.2), (0.9, 0.5), 0.3),
+    "Table": lambda: report.fig1(SweepSpec((0.1, 0.2), (0.9,))),
+    "OracleConfig": lambda: OracleConfig(1000, 7),
+    "OracleEstimate": lambda: eprbell.mc_fidelity(_STATE, OracleConfig(1000, 7)),
+}
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_records_survive_pickle_and_copy(name):
+    record = RECORDS[name]()
+    assert type(record).__name__ == name
+    for copied in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record), copy.copy(record)):
+        assert type(copied) is type(record) and copied == record
+
+
+@pytest.mark.parametrize("record, change", [
+    (EprParams(0.3, 0.9), {"eta": 5.0}),
+    (EprParams(0.3, 0.9), {"r": -1.0}),
+    (EprParams(0.3, 0.9), {"nbar": "1"}),
+    (SweepSpec((0.1,)), {"r_grid": ()}),
+    (SweepSpec((0.1,)), {"eta_list": (1.5,)}),
+    (SweepSpec((0.1,)), {"nbar": -1.0}),
+    (OracleConfig(10, 1), {"samples": 1}),
+    (OracleConfig(10, 1), {"seed": 2**64}),
+], ids=["EprParams.eta", "EprParams.r", "EprParams.nbar", "SweepSpec.r_grid", "SweepSpec.eta_list", "SweepSpec.nbar",
+        "OracleConfig.samples", "OracleConfig.seed"])
+def test_replace_and_make_validate_again(record, change):
+    with pytest.raises(ValueError):
+        record._replace(**change)
+    with pytest.raises(ValueError):
+        type(record)._make({**record._asdict(), **change}.values())
+
+
+def test_replace_converts_like_the_constructor():
+    assert EprParams(0.3, 0.9)._replace(eta=1) == EprParams(0.3, 1.0)
+    assert type(EprParams(0.3, 0.9)._replace(eta=1).eta) is float
+    assert SweepSpec((0.1,))._replace(r_grid=[0, 1]).r_grid == (0.0, 1.0)
 
 
 @given(params_st)
