@@ -8,8 +8,8 @@ Figure subcommands take their grid from an optional JSON config, the one
 way to set it, whose keys mirror :class:`eprbell.report.SweepSpec`
 (``r_list`` or ``r_min``/``r_max``/``r_count``, ``eta_list``, ``nbar``;
 fig2 additionally ``j_min``/``j_max``/``j_count``).  Each key, read or not, is held
-to the library's rule: a finite number (not a bool or text), a list of them, or a
-count >= 1.  A value that breaks it, any other key, and ``r_list`` given with a
+to the library's rule: a finite number (not a bool or text), a nonempty list of
+them, or a count >= 1.  A value that breaks it, any other key, and ``r_list`` given with a
 range key are rejected with exit code 2.
 """
 
@@ -22,7 +22,7 @@ import sys
 from . import report as report_mod
 from .bell import b_of_j, maximize_b, optimize_scaled_chsh
 from .criteria import CRITERIA_CSV_COLUMNS, classify
-from .epr_model import EprParams, GaussianEprState, _count, _real, _reals, make_state
+from .epr_model import EprParams, GaussianEprState, _count, _real, make_state
 from .teleport import fidelity
 
 __all__ = ["main", "build_parser"]
@@ -117,8 +117,8 @@ def _cmd_oracle(args) -> int:
 # each figure reads the keys it uses (j_* for fig2 only, r_min/r_max/r_count
 # for fig1/fig3/fig4 only), but every key is held to its library rule.
 _CONFIG_KEYS = {
-    "r_list": _reals, "r_min": _real, "r_max": _real, "r_count": _count, "eta_list": _reals, "nbar": _real,
-    "j_min": _real, "j_max": _real, "j_count": _count,
+    "r_list": report_mod._nonempty, "r_min": _real, "r_max": _real, "r_count": _count,
+    "eta_list": report_mod._nonempty, "nbar": _real, "j_min": _real, "j_max": _real, "j_count": _count,
 }
 _R_RANGE_KEYS = ("r_min", "r_max", "r_count")
 

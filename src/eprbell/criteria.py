@@ -10,8 +10,10 @@ Two families of predicates are evaluated against one state:
   underpin the claim that only fidelity above 2/3 counts as quantum.
 
 All predicates are strict inequalities with no tolerance band: a state
-sitting exactly on a boundary does not satisfy the criterion.  The free
-weight in the sum criterion is fixed to a = 1 (symmetric modes).
+sitting exactly on a boundary does not satisfy the criterion.  With equal x
+and p sectors each is one comparison, exact in floats: duan_sum < 1 (F > 1/2),
+the gain-mu variance < 1/4, and at mu = 1 sigma_minus_sq < 1/2 (F > 2/3).
+The free weight in the sum criterion is fixed to a = 1 (symmetric modes).
 """
 
 from __future__ import annotations
@@ -122,42 +124,35 @@ def classify(state: GaussianEprState, mu: float | None = None) -> CriteriaReport
     explicit ``mu`` for which ``gg_product`` overflows raises ValueError;
     under the nbar bound no field at the optimal gain or at mu = 1 can.
     """
-    params = state.params
-    d_sum = duan_sum(state)
-    cond_x, cond_p = conditional_variances(state)
+    params, sm = state.params, duan_sum(state)
+    cond = conditional_variances(state)[0]
     if mu is None:
-        mu = mu_opt(state)
-        dx_mu_sq, dp_mu_sq = cond_x, cond_p
+        mu, var = mu_opt(state), cond
     else:
         mu = _real("mu", mu)
-        dx_mu_sq, dp_mu_sq = mu_variances(state, mu)
-    gg_product = dx_mu_sq * dp_mu_sq
+        var = mu_variances(state, mu)[0]
+    gg_product = var * var
     if gg_product == math.inf:
         raise ValueError(f"mu = {mu!r} makes gg_product overflow")
-    gg_sum = dx_mu_sq + dp_mu_sq
-
-    dx1_sq, dp1_sq = mu_variances(state, 1.0)
-    gg_product_mu1 = dx1_sq * dp1_sq
-    gg_sum_mu1 = dx1_sq + dp1_sq
-
+    var1 = sm / 2.0  # mu_variances(state, 1.0): its sp term vanishes and 4*sm/8 rounds once
     return CriteriaReport(
         r=params.r,
         eta=params.eta,
         nbar=params.nbar,
-        duan_sum=d_sum,
-        duan_nonseparable=d_sum < 1.0,
+        duan_sum=sm,
+        duan_nonseparable=sm < 1.0,
         mu=mu,
-        dx_mu_sq=dx_mu_sq,
-        dp_mu_sq=dp_mu_sq,
-        cond_var_x=cond_x,
-        cond_var_p=cond_p,
+        dx_mu_sq=var,
+        dp_mu_sq=var,
+        cond_var_x=cond,
+        cond_var_p=cond,
         gg_product=gg_product,
-        gg_hi_satisfied=gg_product < 1.0 / 16.0,
-        gg_sum_satisfied=gg_sum < 0.5,
-        simon_mu_nonseparable=gg_sum < (1.0 + mu**2) / 2.0,
+        gg_hi_satisfied=var < 0.25,
+        gg_sum_satisfied=var < 0.25,
+        simon_mu_nonseparable=var + var < (1.0 + mu**2) / 2.0,
         nbar_threshold=nbar_threshold(params.r, params.eta),
-        gg_product_mu1=gg_product_mu1,
-        gg_hi_satisfied_mu1=gg_product_mu1 < 1.0 / 16.0,
-        gg_sum_mu1=gg_sum_mu1,
-        gg_sum_satisfied_mu1=gg_sum_mu1 < 0.5,
+        gg_product_mu1=var1 * var1,
+        gg_hi_satisfied_mu1=sm < 0.5,
+        gg_sum_mu1=var1 + var1,
+        gg_sum_satisfied_mu1=sm < 0.5,
     )

@@ -139,6 +139,8 @@ class GaussianEprState(_Checked, namedtuple("GaussianEprState", "params sigma_pl
     __slots__ = ()
 
     def __new__(cls, params: EprParams):
+        if not isinstance(params, EprParams):  # EprParams is the one validator of the knobs
+            raise ValueError(f"params must be an EprParams, got {_shown(params)}")
         return super().__new__(cls, params, *_sigma_pair(params.r, params.eta, params.nbar))
 
     def __getnewargs__(self):  # pickle and copy rebuild the state from its knobs

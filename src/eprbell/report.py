@@ -25,9 +25,10 @@ bools with numbers raises ValueError.  The readers apply the same rule to
 each whole column: a CSV column reads as booleans only when every cell is
 true/false, and its float cells must be spelled as the writers spell them
 (a decimal or exponent number, inf, -inf or nan); JSONL takes NaN but not
-Infinity, which the writers never write.  The codec formats each distinct
-value of a mostly repeated column once, and builds every JSONL row from
-one template per table.
+Infinity, which the writers never write, and reads every number as a float.
+Both reject a number spelled beyond the float range.  The codec formats each
+distinct value of a mostly repeated column once, and builds every JSONL row
+from one template per table.
 Readers and writers alike reject column names that would not read back:
 repeated, empty, or holding a comma or line break.
 """
@@ -266,16 +267,19 @@ _CSV_FLOAT = re.compile(r"-?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|-?inf|nan")
 
 def _parse_column(name: str, texts) -> list:
     """One CSV column's cells by the writers' rule: booleans when every cell is
-    true/false, else floats; a column mixing the two, or holding a float cell
-    in another spelling than the writers' (such as '1_000', ' 2.5 ' or
-    'Infinity', which float() would take), raises ValueError."""
+    true/false, else floats; a column mixing the two, holding a float cell in
+    another spelling than the writers' (such as '1_000', ' 2.5 ' or 'Infinity',
+    which float() would take) or one beyond the float range raises ValueError."""
     cells = [text == "true" if text in _BOOL_TEXT else text for text in texts]
     if bool in _column_types(name, cells):
         return cells
     if not all(map(_CSV_FLOAT.fullmatch, texts)):
         bad = next(text for text in texts if not _CSV_FLOAT.fullmatch(text))
         raise ValueError(f"column {name!r} holds {bad!r}, not a number, inf, -inf or nan")
-    return list(map(float, texts))
+    floats = list(map(float, texts))
+    if floats.count(math.inf) + floats.count(-math.inf) > texts.count("inf") + texts.count("-inf"):
+        raise ValueError(f"column {name!r} holds a number beyond the float range")
+    return floats
 
 
 def table_to_csv(table: Table) -> str:
@@ -302,19 +306,22 @@ def table_to_jsonl(table: Table) -> str:
     return "\n".join(map(template.__mod__, rows)) + "\n"
 
 
-def _json_cell(value):
-    if isinstance(value, (bool, int, float)):
-        return value
+def _json_cell(name: str, value) -> float:
     if value in ("inf", "-inf"):
         return float(value)
-    raise ValueError(f'JSONL cell {json.dumps(value)} is not a number, a boolean, "inf" or "-inf"')
+    if type(value) is not float:
+        raise ValueError(f'JSONL cell {json.dumps(value)} is not a number, a boolean, "inf" or "-inf"')
+    if abs(value) == math.inf:  # the decoder reads a number beyond the float range as an infinity
+        raise ValueError(f"column {name!r} holds a number beyond the float range")
+    return value
 
 
 def _json_column(name: str, values: list) -> list:
-    """One JSONL column's cells: all bools, else each as _json_cell reads it."""
-    if bool in _column_types(name, values) or {int, float}.issuperset(map(type, values)):
+    """One JSONL column's cells: all bools, else each as _json_cell reads it; the decoder reads numbers as floats."""
+    types = _column_types(name, values)
+    if bool in types or types == {float} and math.inf not in map(abs, values):
         return values
-    return list(map(_json_cell, values))
+    return [_json_cell(name, value) for value in values]
 
 
 def _json_object(pairs: list) -> dict:
@@ -333,7 +340,7 @@ def _json_constant(token: str) -> float:
 
 
 # One decoder for every line: json.loads would build a new one per call when given a hook.
-_JSONL_DECODER = json.JSONDecoder(object_pairs_hook=_json_object, parse_constant=_json_constant)
+_JSONL_DECODER = json.JSONDecoder(object_pairs_hook=_json_object, parse_constant=_json_constant, parse_int=float)
 
 
 def table_from_jsonl(text: str) -> Table:
@@ -342,8 +349,8 @@ def table_from_jsonl(text: str) -> Table:
         raise ValueError("empty JSONL input")
     objs = list(map(_JSONL_DECODER.decode, lines))
     for index, obj in enumerate(objs, start=1):
-        if not isinstance(obj, dict):
-            raise ValueError(f"JSONL line {index} is not an object")
+        if not isinstance(obj, dict) or not obj:  # an object with no keys gives a table the writers reject
+            raise ValueError(f"JSONL line {index} is not an object with at least one key")
         if obj.keys() != objs[0].keys():
             raise ValueError(f"JSONL object {index} does not have the keys {tuple(objs[0])}")
     columns = tuple(objs[0])

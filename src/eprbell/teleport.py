@@ -16,8 +16,6 @@ from .epr_model import GaussianEprState
 
 __all__ = ["FidelityResult", "fidelity"]
 
-F_CLASSICAL = 0.5
-
 
 # beats_classical is F > 1/2, possible only with a nonseparable state;
 # beats_two_thirds is F > 2/3, which needs more than 3 dB of effective squeezing.
@@ -32,12 +30,9 @@ def _fidelity(duan: float) -> float:
 def fidelity(state: GaussianEprState) -> FidelityResult:
     """Teleportation fidelity F = 1/(1 + duan_sum) with boundary flags.
 
-    Built from the variance sum so that F = 1/(1 + duan_sum) holds exactly;
-    for nbar = 0 this equals 1/(2 - eta*(1 - exp(-2r))).
+    F > 1/2 is duan_sum < 1 and F > 2/3 is duan_sum < 1/2; each flag is decided
+    on duan_sum, as classify decides the same boundaries, so the rounding of F
+    cannot put a state on the wrong side.  For nbar = 0, F = 1/(2 - eta*(1 - exp(-2r))).
     """
-    f = _fidelity(duan_sum(state))
-    return FidelityResult(
-        fidelity=f,
-        beats_classical=f > F_CLASSICAL,
-        beats_two_thirds=f > 2.0 / 3.0,
-    )
+    sm = duan_sum(state)
+    return FidelityResult(fidelity=_fidelity(sm), beats_classical=sm < 1.0, beats_two_thirds=sm < 0.5)

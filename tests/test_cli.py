@@ -290,6 +290,10 @@ def test_shared_config_accepted_by_every_figure(tmp_path, capsys, figure):
         (("fig2",), {"r_count": 0}, "config key 'r_count': r_count must be an integer >= 1"),
         (("fig1",), {"j_min": math.nan}, "config key 'j_min': j_min must be finite"),
         (("fig3",), {"nbar": True}, "config key 'nbar': nbar must be a real number"),
+        # an empty list is named by its config key, not by the SweepSpec field it fills
+        (("fig1",), {"r_list": []}, "config key 'r_list': r_list must be nonempty"),
+        (("fig2",), {"r_list": []}, "config key 'r_list': r_list must be nonempty"),
+        (("fig3",), {"eta_list": []}, "config key 'eta_list': eta_list must be nonempty"),
     ],
     ids=[
         "fidelity-overflow-r", "fig1-overflow-r_max", "fig2-empty-eta_list",
@@ -300,7 +304,7 @@ def test_shared_config_accepted_by_every_figure(tmp_path, capsys, figure):
         "fig1-unallocatable-r_count", "fig2-unallocatable-j_count", "bell-scan-unallocatable-points",
         "bell-scan-zero-points", "bell-scan-infinite-j-max", "fig1-401-digit-r_count", "fig1-r_list-with-range",
         "fig2-r_list-with-r_count", "fig2-unused-zero-r_count",
-        "fig1-unused-nan-j_min", "fig3-boolean-nbar",
+        "fig1-unused-nan-j_min", "fig3-boolean-nbar", "fig1-empty-r_list", "fig2-empty-r_list", "fig3-empty-eta_list",
     ],
 )
 def test_rejected_input_exits_2_with_one_error_line(tmp_path, capsys, argv, config, names):

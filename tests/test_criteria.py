@@ -5,7 +5,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from eprbell import (
     CRITERIA_CSV_COLUMNS,
@@ -264,6 +264,28 @@ def test_outputs_match_the_mpmath_reference_over_the_whole_domain(r, eta, nbar):
         for name, (flag, op, want, ulps, threshold, threshold_ulps) in flags.items():
             margin = ulps * math.ulp(float(want)) + threshold_ulps * math.ulp(float(threshold))
             assert abs(want - threshold) <= margin or flag == op(want, threshold), name
+
+
+# F > 1/2 is duan_sum < 1, F > 2/3 is sigma_minus_sq < 1/2 (both Heisenberg-type conditions at mu = 1),
+# and at any gain both conditions are the gain-mu variance < 1/4.  The pinned states are where the
+# rounding of F lands on 1/2 or 2/3 while the state is just across the boundary.
+@settings(max_examples=300)
+@given(domain_r, domain_eta, domain_nbar, st.one_of(st.none(), st.floats(-3.0, 3.0)))
+@example(5.551115123125783e-17, 1.0, 0.0, None)
+@example(0.3465735902799727, 1.0, 0.0, None)
+@example(0.34657359027997275, 1.0, 0.0, None)
+@example(0.34657359027997275, 1.0, 0.0, 0.5)
+def test_the_papers_boundaries_agree(r, eta, nbar, mu):
+    s = state(r, eta, nbar)
+    try:
+        rep = classify(s, mu)
+    except ValueError as exc:  # an explicit gain can make gg_product overflow; the default gain cannot
+        assert mu is not None and "overflow" in str(exc)
+        return
+    fid = fidelity(s)
+    assert fid.beats_classical == rep.duan_nonseparable
+    assert fid.beats_two_thirds == rep.gg_hi_satisfied_mu1 == rep.gg_sum_satisfied_mu1
+    assert rep.gg_hi_satisfied == rep.gg_sum_satisfied == (rep.dx_mu_sq < 0.25)
 
 
 def test_default_gain_predicates_at_large_squeezing(capsys):

@@ -2,6 +2,7 @@ import copy
 import math
 import pickle
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -418,6 +419,19 @@ def test_state_takes_no_variance_pair_from_outside():
     other = EprParams(LN2_HALF, 1.0)
     moved = make_state(EprParams(0.0, 1.0))._replace(params=other)
     assert moved == make_state(other) == GaussianEprState._make((other,))
+
+
+@pytest.mark.parametrize(
+    "params",
+    [types.SimpleNamespace(r=-1.0, eta=5.0, nbar=0.0), types.SimpleNamespace(r=400.0, eta=0.9, nbar=0.0),
+     None, (0.3, 0.9, 0.0)],
+    ids=["out-of-range-namespace", "overflowing-namespace", "None", "tuple"],
+)
+def test_state_takes_its_knobs_only_as_epr_params(params):
+    # EprParams is the one validator of the knobs; an object that only looks like one would skip it
+    for build in (GaussianEprState, make_state):
+        with pytest.raises(ValueError, match="params must be an EprParams, got "):
+            build(params)
 
 
 # One instance of each public record.

@@ -500,7 +500,8 @@ def test_jsonl_rejects_mismatched_keys():
 
 
 def test_jsonl_rejects_non_objects_and_foreign_cells():
-    for text in ('[1]\n', '{"a": 1}\n[1]\n', '"a"\n'):
+    # an object with no keys would give a table with no columns, which the writers reject
+    for text in ('[1]\n', '{"a": 1}\n[1]\n', '"a"\n', '{}\n'):
         with pytest.raises(ValueError, match="not an object"):
             table_from_jsonl(text)
     for text in ('{"a": "x"}\n', '{"a": null}\n', '{"a": 1}\n{"a": [1]}\n', '{"a": "nan"}\n'):
@@ -508,6 +509,29 @@ def test_jsonl_rejects_non_objects_and_foreign_cells():
             table_from_jsonl(text)
 
 
+
+
+@pytest.mark.parametrize(
+    "read, text",
+    [(table_from_csv, "a\n1e400\n"), (table_from_csv, "a\n" + "9" * 400 + "\n"),
+     (table_from_csv, "b,a\n1,inf\n2,-1e400\n"),
+     (table_from_jsonl, '{"a": 1e400}\n'), (table_from_jsonl, '{"a": %s}\n' % ("9" * 400)),
+     (table_from_jsonl, '{"b": 1, "a": "inf"}\n{"b": 2, "a": -1e400}\n')],
+    ids=["csv-exponent", "csv-400-digits", "csv-beside-inf", "jsonl-exponent", "jsonl-400-digit-int",
+         "jsonl-beside-inf"],
+)
+def test_readers_reject_numbers_beyond_the_float_range(read, text):
+    # float() takes each to an infinity, which the writers spell "inf"; a 400-digit JSON int would read as an int
+    with pytest.raises(ValueError, match="column 'a' holds a number beyond the float range"):
+        read(text)
+
+
+def test_jsonl_reads_every_number_as_a_float():
+    # as the CSV reader does, so a JSONL int cell, which no writer gives, never reaches the writers
+    table = table_from_jsonl('{"a": 1, "b": -0, "c": 2.5}\n')
+    assert _typed_cells(table) == [[(float, "1.0"), (float, "-0.0"), (float, "2.5")]]
+    assert _typed_cells(table) == _typed_cells(table_from_csv("a,b,c\n1,-0,2.5\n"))
+    assert table_to_csv(table) == "a,b,c\n1,-0,2.5\n"
 
 
 @pytest.mark.parametrize("cell", ["1.5", b"1.5", None, 10**400], ids=["text", "bytes", "None", "huge-int"])
